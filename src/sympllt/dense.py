@@ -27,20 +27,67 @@ def _require_finite(a, op):
         raise InvalidEntryError(f"{op}: input contains NaN or infinite entries")
 
 
+# Products whose inner dimension is below this keep the plain loop: the
+# structure analysis below costs more than it saves at that size.
+_MIN_INNER = 64
+# Row height the output is computed in, so a band stays cache-resident;
+# products with fewer rows than two bands are done in one band.
+_BAND_ROWS = 128
+
+
+def _nonzero_extents(nonzero):
+    """[first, last + 1) of the True entries of each column (empty: [0, 0))."""
+    length = nonzero.shape[0]
+    first = nonzero.argmax(axis=0)
+    stop = length - nonzero[::-1].argmax(axis=0)
+    stop[~nonzero.any(axis=0)] = 0
+    return first.tolist(), stop.tolist()
+
+
 def matmul(a, b):
     """Matrix product with a fixed summation order.
 
     Each entry is accumulated over the shared index k in ascending order
     (rank-1 updates), so results are deterministic across runs and exact
     whenever all products and partial sums are exactly representable.
+
+    Terms that cannot change a bit are skipped.  For finite inputs with an
+    inner dimension of at least 64, the k-th update touches only the rows
+    between the first and last nonzero of ``a[:, k]`` and the columns
+    between the first and last nonzero of ``b[k, :]``; a k with an all-zero
+    column or row is skipped.  When ``b`` equals ``a.T`` and the output
+    spans several row bands, only the lower triangle is accumulated and
+    the upper one is copied from it.  The result is bitwise that of the
+    full loop because a running sum that starts at +0.0 is never -0.0, so
+    adding a +-0 product never changes it, and because IEEE multiplication
+    commutes, so ``a a^T`` is bitwise symmetric.  NaN or infinite inputs
+    keep every term (``0 * inf`` is NaN).
     """
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for k in range(a.shape[1]):
-        out += a[:, k : k + 1] * b[k : k + 1, :]
+    (m, inner), n = a.shape, b.shape[1]
+    out = np.zeros((m, n))
+    if (inner < _MIN_INNER or out.size == 0
+            or not (np.isfinite(a).all() and np.isfinite(b).all())):
+        for k in range(inner):
+            out += a[:, k : k + 1] * b[k : k + 1, :]
+        return out
+    row_first, row_stop = _nonzero_extents(a != 0)
+    col_first, col_stop = _nonzero_extents((b != 0).T)
+    bands = max(1, m // _BAND_ROWS)
+    height = -(-m // bands)
+    symmetric = bands > 1 and np.array_equal(a, b.T)
+    for i0 in range(0, m, height):
+        i1 = min(i0 + height, m)
+        col_limit = i1 if symmetric else n
+        for k, r0, r1, c0, c1 in zip(range(inner), row_first, row_stop, col_first, col_stop):
+            r0, r1, c1 = max(r0, i0), min(r1, i1), min(c1, col_limit)
+            if r0 < r1 and c0 < c1:
+                out[r0:r1, c0:c1] += a[r0:r1, k : k + 1] * b[k : k + 1, c0:c1]
+        if symmetric:
+            out[:i0, i0:i1] = out[i0:i1, :i0].T
     return out
 
 
@@ -53,14 +100,6 @@ def frobenius_norm(a):
 def is_bitwise_symmetric(a):
     a = as_matrix(a)
     return a.shape[0] == a.shape[1] and bool(np.array_equal(a, a.T))
-
-
-def symmetric_eigenvalues(a):
-    """Eigenvalues of a symmetric matrix, ascending."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError("symmetric_eigenvalues: matrix must be square")
-    return np.linalg.eigvalsh(a)
 
 
 def spectral_norm(a):

@@ -7,6 +7,8 @@ strings that parse back to the exact same 64-bit float (Python repr), so
 write -> read is lossless.
 """
 
+import math
+
 import numpy as np
 
 from .dense import as_matrix
@@ -26,6 +28,13 @@ def write_matrix(path, a, comment=None):
 
 
 def read_matrix(path):
+    """Read a matrix written by ``write_matrix`` (or by hand in that format).
+
+    Raises ParseError with the 1-based line number of the first problem:
+    a missing or malformed header, a row with the wrong number of values,
+    a bad or non-finite float literal, missing rows, or a non-blank line
+    after the last data row (extra rows are rejected, not ignored).
+    """
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
 
@@ -52,12 +61,25 @@ def read_matrix(path):
         parts = lines[k + 1 + i].split()
         if len(parts) != cols:
             raise ParseError(lineno, f"expected {cols} values, got {len(parts)}")
-        for j, tok in enumerate(parts):
-            try:
-                val = float(tok)
-            except ValueError:
-                raise ParseError(lineno, f"bad float literal {tok!r}") from None
-            if not np.isfinite(val):
-                raise ParseError(lineno, f"non-finite value {tok!r}")
-            out[i, j] = val
+        try:
+            out[i] = [float(tok) for tok in parts]
+            finite = np.isfinite(out[i]).all()
+        except ValueError:
+            finite = False
+        if not finite:
+            raise _bad_token_error(lineno, parts)
+    for extra in range(k + 1 + rows, len(lines)):
+        if lines[extra].strip():
+            raise ParseError(extra + 1, f"extra data after the {rows} declared rows")
     return out
+
+
+def _bad_token_error(lineno, parts):
+    """ParseError naming the first token of a row that is not a finite float."""
+    for tok in parts:
+        try:
+            val = float(tok)
+        except ValueError:
+            return ParseError(lineno, f"bad float literal {tok!r}")
+        if not math.isfinite(val):
+            return ParseError(lineno, f"non-finite value {tok!r}")

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import EPS, as_matrix, matmul, spectral_norm
-from .errors import DimensionError, DomainError, NotSymplecticError, UsageError
+from .errors import (DimensionError, DomainError, InvalidEntryError, NotSymplecticError,
+                     UsageError)
 from .factor import (
     cholesky_lower,
     forward_substitute,
@@ -39,6 +40,12 @@ class BlockPartition:
 
     @classmethod
     def from_matrix(cls, a):
+        """Split a finite, symmetric matrix of even order into its blocks."""
+        a = as_matrix(a)
+        # before the symmetry test: NaN fails every comparison, so that
+        # test alone would let it through
+        if not np.isfinite(a).all():
+            raise InvalidEntryError("BlockPartition: matrix contains NaN or infinite entries")
         a = require_symmetric(a, "BlockPartition")
         if a.shape[0] % 2 != 0:
             raise DimensionError("BlockPartition: order must be even")

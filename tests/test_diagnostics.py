@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from sympllt import UsageError, diagnose, run_checks, run_sweep, run_table
+from sympllt import InvalidEntryError, UsageError, diagnose, run_checks, run_sweep, run_table
 from sympllt.diagnostics import (
     CSV_COLUMNS,
     format_table,
@@ -22,6 +23,16 @@ def rows_equal_bitwise(a, b):
         if va != vb:
             return False
     return True
+
+
+def test_diagnose_rejects_nan_without_warning():
+    lone = np.eye(4)
+    lone[3, 0] = np.nan  # in a21, which the partition drops
+    for a in (np.full((4, 4), np.nan), lone):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidEntryError):
+                diagnose(a)
 
 
 def test_diagnose_hyperbolic3_reference_values():

@@ -49,6 +49,22 @@ def test_write_comment_round_trip(tmp_path):
     assert np.array_equal(read_matrix(path), np.eye(2))
 
 
+def test_trailing_blank_lines_accepted(tmp_path):
+    path = tmp_path / "b.mat"
+    path.write_text("2 2\n1 0\n0 1\n\n   \n")
+    assert np.array_equal(read_matrix(path), np.eye(2))
+
+
+def test_bad_token_message_names_first_bad_token(tmp_path):
+    path = tmp_path / "bad.mat"
+    path.write_text("1 3\n1 inf zebra\n")
+    with pytest.raises(ParseError, match="non-finite value 'inf'"):
+        read_matrix(path)
+    path.write_text("1 3\n1 zebra inf\n")
+    with pytest.raises(ParseError, match="bad float literal 'zebra'"):
+        read_matrix(path)
+
+
 def test_scientific_notation_accepted(tmp_path):
     path = tmp_path / "s.mat"
     path.write_text("1 3\n1e3 -2.5E-4 +0.125\n")
@@ -67,6 +83,9 @@ def test_scientific_notation_accepted(tmp_path):
         ("1 2\n1 zebra\n", 2),
         ("1 1\nnan\n", 2),
         ("1 1\ninf\n", 2),
+        ("1 2\n1 inf zebra\n", 2),
+        ("2 2\n1 0\n0 1\n1 1\n", 4),
+        ("# c\n1 1\n5\n\n7\n", 5),
     ],
 )
 def test_malformed_inputs_report_line(tmp_path, content, line):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from sympllt import (
     BlockPartition,
     DimensionError,
     DomainError,
+    InvalidEntryError,
     NotSymplecticError,
     PivotNotPositiveError,
     UsageError,
@@ -304,3 +306,24 @@ def test_partition_assemble_round_trip():
     a = hyperbolic_spd(5.0)
     p = BlockPartition.from_matrix(a)
     assert np.array_equal(p.assemble(), a)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("where", [(0, 0), (3, 0), (2, 1)])
+def test_from_matrix_rejects_non_finite(bad, where):
+    a = minij()
+    a[where] = bad  # (3, 0) sits in a21, which the partition drops
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidEntryError):
+            BlockPartition.from_matrix(a)
+
+
+@pytest.mark.parametrize("where", [(1, 1), (3, 3)])  # in a11, in a22
+def test_algorithm_w2_rejects_infinite_partition(where):
+    a = minij()
+    a[where] = math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidEntryError):
+            algorithm_w2(BlockPartition.from_matrix(a))
