@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import EPS, as_matrix, matmul, spectral_norm
-from .errors import (DimensionError, DomainError, InvalidEntryError, NotSymplecticError,
-                     UsageError)
+from .dense import EPS, _require_finite, as_matrix, matmul, spectral_norm
+from .errors import DimensionError, DomainError, NotSymplecticError, UsageError
 from .factor import (
     cholesky_lower,
     forward_substitute,
@@ -44,8 +43,7 @@ class BlockPartition:
         a = as_matrix(a)
         # before the symmetry test: NaN fails every comparison, so that
         # test alone would let it through
-        if not np.isfinite(a).all():
-            raise InvalidEntryError("BlockPartition: matrix contains NaN or infinite entries")
+        _require_finite(a, "BlockPartition")
         a = require_symmetric(a, "BlockPartition")
         if a.shape[0] % 2 != 0:
             raise DimensionError("BlockPartition: order must be even")
