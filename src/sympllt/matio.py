@@ -7,8 +7,6 @@ strings that parse back to the exact same 64-bit float (Python repr), so
 write -> read is lossless.
 """
 
-import math
-
 import numpy as np
 
 from .dense import as_matrix
@@ -81,5 +79,5 @@ def _bad_token_error(lineno, parts):
             val = float(tok)
         except ValueError:
             return ParseError(lineno, f"bad float literal {tok!r}")
-        if not math.isfinite(val):
+        if not np.isfinite(val):
             return ParseError(lineno, f"non-finite value {tok!r}")
