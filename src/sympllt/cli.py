@@ -8,8 +8,8 @@ import argparse
 import sys
 
 from . import diagnostics, matio, testmat
-from .errors import (DimensionError, FactorError, ParseError, SingularError,
-                     SympLLTError, UsageError)
+from .errors import (DimensionError, FactorError, InvalidEntryError, ParseError,
+                     SingularError, SympLLTError, UsageError)
 from .symplectic import BlockPartition, algorithm_w1, algorithm_w2
 
 USAGE_EXIT = 2
@@ -115,7 +115,7 @@ def _cmd_diagnose(args):
     if args.csv:
         diagnostics.write_csv(args.csv, [row])
     if not row.ok:
-        print(f"factorization failed: {row.error}", file=sys.stderr)
+        print(f"numerical failure: {row.error}", file=sys.stderr)
         return NUMERICAL_EXIT
     return 0
 
@@ -159,7 +159,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (UsageError, ParseError, DimensionError) as exc:
+    except (UsageError, ParseError, DimensionError, InvalidEntryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except (FactorError, SingularError, SympLLTError) as exc:

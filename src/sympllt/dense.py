@@ -105,9 +105,12 @@ def is_bitwise_symmetric(a):
 def spectral_norm(a):
     """Largest singular value.
 
-    Symmetric inputs go straight through the symmetric eigensolver; other
-    inputs via the explicitly formed Gram matrix a^T a.  Relative accuracy
-    target 1e-12 (degrades for condition numbers beyond ~1e15).
+    Bitwise-symmetric inputs go through the symmetric eigensolver; other
+    inputs through LAPACK's singular value decomposition, without forming
+    the squared Gram matrix a^T a.  Both are deterministic on one host and
+    BLAS/LAPACK build, not across platforms.  The norm is a final
+    reduction that no factor depends on, so it does not use the
+    fixed-order ``matmul``.
     """
     a = as_matrix(a)
     if a.size == 0:
@@ -116,9 +119,7 @@ def spectral_norm(a):
     if is_bitwise_symmetric(a):
         ev = np.linalg.eigvalsh(a)
         return float(max(abs(ev[0]), abs(ev[-1])))
-    gram = matmul(a.T, a)
-    ev = np.linalg.eigvalsh(gram)
-    return float(np.sqrt(max(ev[-1], 0.0)))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def condition_number(a):

@@ -16,7 +16,7 @@ from .checks import (
     perturbation_experiment,
 )
 from .dense import condition_number, matmul, spectral_norm
-from .errors import FactorError, UsageError
+from .errors import FactorError, SingularError, UsageError
 from .symplectic import (
     BlockPartition,
     algorithm_w1,
@@ -34,14 +34,13 @@ from .testmat import (
     hyperbolic_spd_inverse,
 )
 
-CSV_COLUMNS = [
-    "family", "param", "n",
+TABLE_QUANTITIES = [
     "kappa2_A", "norm2_A", "kappa2_A11", "norm2_A11", "norm2_invA11",
     "dist_sympl", "dist_sympl_rel", "relerr_w1", "relerr_w2",
     "omega_A", "omega_L1", "omega_L2",
 ]
 
-TABLE_QUANTITIES = CSV_COLUMNS[3:]
+CSV_COLUMNS = ["family", "param", "n", *TABLE_QUANTITIES, "error"]
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,9 @@ class DiagnosticsRow:
 def diagnose(a, family="custom", param=0.0):
     """All reported quantities for one SPD matrix of even order.
 
-    Runs both factorization routes; a factorization failure marks the
-    factor-dependent fields NaN and records the failure message.
+    Runs both factorization routes.  A singular input or leading block, or
+    a factorization failure, records the failure message and marks the
+    fields not computed by then NaN.
     """
     p = a if isinstance(a, BlockPartition) else BlockPartition.from_matrix(a)
     full = p.assemble()
@@ -81,14 +81,14 @@ def diagnose(a, family="custom", param=0.0):
         "family": family,
         "param": float(param),
         "n": p.n,
-        "kappa2_A": condition_number(full),
         "norm2_A": norm_a,
-        "kappa2_A11": condition_number(p.a11),
         "norm2_A11": spectral_norm(p.a11),
         "omega_A": spectral_norm(omega(full)),
     }
     error = ""
     try:
+        values["kappa2_A"] = condition_number(full)
+        values["kappa2_A11"] = condition_number(p.a11)
         f1 = algorithm_w1(p)
         f2 = algorithm_w2(p)
         values["norm2_invA11"] = spectral_norm(
@@ -101,11 +101,10 @@ def diagnose(a, family="custom", param=0.0):
         values["relerr_w2"] = spectral_norm(f2.residual(p)) / norm_a
         values["omega_L1"] = spectral_norm(omega(f1.assemble()))
         values["omega_L2"] = spectral_norm(omega(f2.assemble()))
-    except FactorError as exc:
+    except (FactorError, SingularError) as exc:
         error = str(exc)
-        for name in ("norm2_invA11", "dist_sympl", "dist_sympl_rel",
-                     "relerr_w1", "relerr_w2", "omega_L1", "omega_L2"):
-            values[name] = math.nan
+    for name in TABLE_QUANTITIES:
+        values.setdefault(name, math.nan)
     return DiagnosticsRow(error=error, **values)
 
 
@@ -153,7 +152,7 @@ def write_csv(path, rows):
             record = []
             for name in CSV_COLUMNS:
                 value = getattr(row, name)
-                if name == "family":
+                if name in ("family", "error"):
                     record.append(value)
                 elif name == "n":
                     record.append(str(value))

@@ -47,6 +47,8 @@ class BlockPartition:
         a = require_symmetric(a, "BlockPartition")
         if a.shape[0] % 2 != 0:
             raise DimensionError("BlockPartition: order must be even")
+        if a.shape[0] == 0:
+            raise DimensionError("BlockPartition: matrix is empty")
         n = a.shape[0] // 2
         return cls(
             n=n,

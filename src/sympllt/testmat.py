@@ -16,6 +16,14 @@ from .symplectic import BlockPartition
 
 _MASK = (1 << 64) - 1
 _TWO53 = 2.0 ** -53
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _mix(z):
+    """The SplitMix64 finaliser over a uint64 array (products wrap mod 2^64)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 class SplitMix64:
@@ -25,7 +33,7 @@ class SplitMix64:
         self.state = int(seed) & _MASK
 
     def next_u64(self):
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
+        self.state = (self.state + _GOLDEN) & _MASK
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -50,10 +58,33 @@ class SplitMix64:
         return r * math.cos(angle), r * math.sin(angle)
 
     def normals(self, count):
-        out = []
-        while len(out) < count:
-            out.extend(self.normal_pair())
-        return out[:count]
+        """``count`` standard normals: the first values of successive
+        ``normal_pair()`` draws, bitwise.
+
+        The state after i steps is seed + i * golden (mod 2^64), so the
+        whole block of words is mixed at once in uint64 arithmetic.  The
+        logarithm, cosine and sine stay libm's ``math`` functions, applied
+        one element at a time, so the bytes do not depend on numpy's own
+        transcendental kernels.  A zero first uniform would shift the
+        pairing of the redraw; the block then falls back to ``normal_pair``.
+        """
+        pairs = (max(count, 0) + 1) // 2
+        steps = np.arange(1, 2 * pairs + 1, dtype=np.uint64)
+        words = _mix(np.uint64(self.state) + steps * np.uint64(_GOLDEN))
+        u = (words >> np.uint64(11)).astype(np.float64) * _TWO53
+        u1, u2 = u[0::2], u[1::2]
+        if not u1.all():
+            out = []
+            while len(out) < count:
+                out.extend(self.normal_pair())
+            return out[:count]
+        self.state = (self.state + 2 * pairs * _GOLDEN) & _MASK
+        r = np.sqrt(-2.0 * np.array(list(map(math.log, u1.tolist()))))
+        angle = ((2.0 * math.pi) * u2).tolist()
+        out = np.empty(2 * pairs)
+        out[0::2] = r * np.array(list(map(math.cos, angle)))
+        out[1::2] = r * np.array(list(map(math.sin, angle)))
+        return out[:count].tolist()
 
 
 def standard_normal_matrix(n, seed):

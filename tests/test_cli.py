@@ -80,6 +80,25 @@ def test_diagnose_failure_exit(tmp_path):
     assert main(["diagnose", "--in", str(src)]) == 3
 
 
+def test_non_finite_generated_input_is_usage_error(capsys):
+    # 2 t overflows to inf in the generated matrix
+    assert main(["diagnose", "--family", "diagt", "--t", "1e308"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite" in err
+
+
+def test_diagnose_singular_input_writes_failed_row(tmp_path, capsys):
+    src = tmp_path / "singular.mat"
+    matio.write_matrix(src, np.diag([1.0, 0.0, 1.0, 1.0]))
+    out = tmp_path / "row.csv"
+    assert main(["diagnose", "--in", str(src), "--csv", str(out)]) == 3
+    assert "numerical failure:" in capsys.readouterr().err
+    from sympllt.diagnostics import read_csv
+
+    (row,) = read_csv(out)
+    assert not row.ok and "zero eigenvalue" in row.error
+
+
 def test_table_command(tmp_path, capsys):
     csv = tmp_path / "t1.csv"
     assert main(["table", "--id", "1", "--csv", str(csv)]) == 0

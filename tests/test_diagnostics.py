@@ -142,6 +142,43 @@ def test_csv_round_trip_bitwise(tmp_path):
     assert all(rows_equal_bitwise(a, b) for a, b in zip(rows, back))
 
 
+def test_diagnose_marks_singular_input():
+    row = diagnose(np.diag([1.0, 0.0, 1.0, 1.0]), "singular", 0.0)
+    assert not row.ok and "zero eigenvalue" in row.error
+    assert row.norm2_A == 1.0 and row.norm2_A11 == 1.0 and row.omega_A >= 0.0
+    for name in ("kappa2_A", "kappa2_A11", "relerr_w1", "relerr_w2", "omega_L1"):
+        assert math.isnan(getattr(row, name))
+
+
+def test_sweep_continues_past_singular_input(monkeypatch):
+    import sympllt.diagnostics as diag
+
+    real = diag.random_pdp
+
+    def singular(n, seed):
+        p = real(n, seed)
+        if n == 2:
+            return type(p).from_matrix(np.diag([1.0, 0.0, 1.0, 1.0]))
+        return p
+
+    monkeypatch.setattr(diag, "random_pdp", singular)
+    rows = diag.run_sweep("random", 1, 3, seed=2)
+    assert [r.ok for r in rows] == [True, False, True]
+
+
+def test_csv_keeps_the_failure_message(tmp_path):
+    failed = diagnose(np.diag([1.0, -1.0, 1.0, 1.0]), "indefinite", 0.0)
+    assert not failed.ok
+    rows = [failed, diagnose(np.eye(4), "identity", 0.0)]
+    path = tmp_path / "rows.csv"
+    write_csv(path, rows)
+    assert path.read_text().splitlines()[0].endswith(",omega_L2,error")
+    back = read_csv(path)
+    assert [r.ok for r in back] == [False, True]
+    assert back[0].error == failed.error
+    assert all(rows_equal_bitwise(a, b) for a, b in zip(rows, back))
+
+
 def test_format_table_layout():
     text = format_table(run_table(3), title="pascal")
     lines = text.splitlines()

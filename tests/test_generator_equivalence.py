@@ -1,0 +1,137 @@
+"""SplitMix64.normals against a frozen copy of the scalar generator.
+
+The block generator computes a whole run of SplitMix64 words with numpy
+uint64 arithmetic; its normals must be bitwise those of the scalar
+Box-Muller loop, and it must leave the stream state where the loop left
+it.  Values are compared as uint64 views, so -0.0 vs +0.0 counts.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from sympllt.testmat import SplitMix64, standard_normal_matrix
+
+MASK = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
+MUL1 = 0xBF58476D1CE4E5B9
+MUL2 = 0x94D049BB133111EB
+
+
+class FrozenSplitMix64:
+    """The scalar generator: one word, one uniform, one pair at a time."""
+
+    def __init__(self, seed):
+        self.state = int(seed) & MASK
+
+    def next_u64(self):
+        self.state = (self.state + GOLDEN) & MASK
+        z = self.state
+        z = ((z ^ (z >> 30)) * MUL1) & MASK
+        z = ((z ^ (z >> 27)) * MUL2) & MASK
+        return z ^ (z >> 31)
+
+    def uniform(self):
+        return (self.next_u64() >> 11) * 2.0 ** -53
+
+    def normal_pair(self):
+        u1 = self.uniform()
+        while u1 == 0.0:
+            u1 = self.uniform()
+        u2 = self.uniform()
+        r = math.sqrt(-2.0 * math.log(u1))
+        angle = 2.0 * math.pi * u2
+        return r * math.cos(angle), r * math.sin(angle)
+
+    def normals(self, count):
+        out = []
+        while len(out) < count:
+            out.extend(self.normal_pair())
+        return out[:count]
+
+
+def bits(values):
+    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def _unshift(y, s):
+    """Inverse of x -> x ^ (x >> s) on 64-bit words."""
+    x = y
+    for _ in range(64 // s + 1):
+        x = y ^ (x >> s)
+    return x
+
+
+def unmix(word):
+    """The state whose SplitMix64 output is ``word``."""
+    z = _unshift(word, 31)
+    z = (z * pow(MUL2, -1, 1 << 64)) & MASK
+    z = _unshift(z, 27)
+    z = (z * pow(MUL1, -1, 1 << 64)) & MASK
+    return _unshift(z, 30)
+
+
+def seed_with_small_word(step, word):
+    """A seed whose ``step``-th output (1-based) is ``word``."""
+    return (unmix(word) - step * GOLDEN) & MASK
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 40001])
+def test_normals_match_scalar_loop(seed, count):
+    got, want = SplitMix64(seed), FrozenSplitMix64(seed)
+    values = got.normals(count)
+    assert isinstance(values, list) and len(values) == count
+    assert bits(values) == bits(want.normals(count))
+    assert got.state == want.state
+
+
+def test_back_to_back_calls_continue_the_stream():
+    got, want = SplitMix64(23), FrozenSplitMix64(23)
+    for count in (16, 8, 7, 1, 0, 5):
+        assert bits(got.normals(count)) == bits(want.normals(count))
+        assert got.state == want.state
+        assert got.next_u64() == want.next_u64()
+    assert bits(got.normal_pair()) == bits(want.normal_pair())
+    assert got.uniform() == want.uniform()
+
+
+def test_unmix_inverts_the_finaliser():
+    for word in (0, 1, 2047, 0x0123456789ABCDEF, MASK):
+        rng = FrozenSplitMix64((unmix(word) - GOLDEN) & MASK)
+        assert rng.next_u64() == word
+
+
+@pytest.mark.parametrize("pair,count", [(0, 6), (3, 10), (3, 7), (4, 9)])
+def test_zero_first_uniform_is_redrawn(pair, count):
+    # the first word of the pair-th pair is below 2^11, so its uniform is 0.0
+    seed = seed_with_small_word(2 * pair + 1, 5)
+    want = FrozenSplitMix64(seed)
+    for _ in range(2 * pair):
+        want.uniform()
+    assert want.uniform() == 0.0
+    want = FrozenSplitMix64(seed)
+    expected = want.normals(count)
+    # the redraw consumed one extra word
+    assert want.state == (seed + (2 * ((count + 1) // 2) + 1) * GOLDEN) & MASK
+    got = SplitMix64(seed)
+    assert bits(got.normals(count)) == bits(expected)
+    assert got.state == want.state
+    assert got.next_u64() == want.next_u64()
+
+
+def test_zero_second_uniform_needs_no_redraw():
+    seed = seed_with_small_word(4, 0)
+    got, want = SplitMix64(seed), FrozenSplitMix64(seed)
+    values = got.normals(6)
+    assert bits(values) == bits(want.normals(6))
+    assert values[3] == 0.0  # r * sin(0)
+    assert got.state == want.state == (seed + 6 * GOLDEN) & MASK
+
+
+@pytest.mark.parametrize("n", [1, 5, 40, 200])
+def test_standard_normal_matrix_unchanged(n):
+    want = FrozenSplitMix64(n).normals(n * n)
+    got = standard_normal_matrix(n, n)
+    assert bits(got.ravel(order="F")) == bits(want)

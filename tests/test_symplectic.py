@@ -302,6 +302,11 @@ def test_block_partition_validation():
         BlockPartition.from_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+def test_from_matrix_rejects_empty_matrix():
+    with pytest.raises(DimensionError, match="empty"):
+        BlockPartition.from_matrix(np.zeros((0, 0)))
+
+
 def test_partition_assemble_round_trip():
     a = hyperbolic_spd(5.0)
     p = BlockPartition.from_matrix(a)
