@@ -24,19 +24,9 @@ from .factor import (
     require_symmetric,
     reverse_cholesky_upper,
     spd_inverse,
-    spd_solve,
     upper_substitute,
 )
-from .symplectic import (
-    BlockPartition,
-    algorithm_w1,
-    algorithm_w2,
-    distance_to_symplecticity,
-    gamma,
-    omega,
-    schur_complement,
-    shared_blocks,
-)
+from .symplectic import BlockPartition, gamma, omega
 
 SLACK = 1e-6
 
@@ -70,10 +60,6 @@ class BoundCheckResult:
     def holds(self):
         return self.verdict == HOLDS
 
-    def with_context(self, name):
-        return BoundCheckResult(self.bound_id, self.lhs, self.rhs, self.slack,
-                                self.floor, self.verdict, self.reason, name)
-
     def describe(self):
         if self.verdict == SKIPPED:
             return f"{self.bound_id}: skipped ({self.reason})"
@@ -93,7 +79,7 @@ def check_w2_backward(p, l22_perturbation=0.0):
     n = p.n
     if (n + 2) * EPS >= 1.0 or 4 * n * gamma(n + 2) >= 1.0:
         return BoundCheckResult.skip("w2-backward", "4 n gamma_{n+2} is not below 1")
-    f = algorithm_w2(p)
+    f = p.w2
     if l22_perturbation:
         f = replace(f, l22=f.l22 * (1.0 + l22_perturbation))
     lhs = spectral_norm(f.residual(p))
@@ -110,9 +96,8 @@ def check_w1_error_bound(p):
     number of the leading block and g = gamma_{n+1}.
     """
     n = p.n
-    f = algorithm_w1(p)
-    lhs = spectral_norm(f.residual(p))
-    dist = distance_to_symplecticity(f, p)
+    lhs = spectral_norm(p.w1.residual(p))
+    dist = spectral_norm(p.inv_a11 - p.schur)
     k11 = condition_number(p.a11)
     norm_a = spectral_norm(p.assemble())
     g = gamma(n + 1)
@@ -134,13 +119,11 @@ def check_omega_factor_bounds(p):
     are pure rounding noise at that scale.
     """
     n = p.n
-    f1 = algorithm_w1(p)
-    f2 = algorithm_w2(p)
+    f1, f2 = p.w1, p.w2
     omega_a = spectral_norm(omega(p.assemble()))
     omega_l1 = spectral_norm(omega(f1.assemble()))
     omega_l2 = spectral_norm(omega(f2.assemble()))
-    inv_a11 = matmul(f1.l22, np.ascontiguousarray(f1.l22.T))
-    norm_inv_a11 = spectral_norm(inv_a11)
+    norm_inv_a11 = spectral_norm(p.inv_a11)
     eye = np.eye(n)
     mix = spectral_norm(matmul(np.ascontiguousarray(f1.l11.T), f2.l22) - eye)
 
@@ -152,8 +135,7 @@ def check_omega_factor_bounds(p):
         BoundCheckResult.compare("omega-factor-ordering", omega_l2,
                                  omega_l1 + mix, SLACK, floor),
     ]
-    s = schur_complement(p, f1.l21)
-    drift = s - inv_a11
+    drift = p.schur - p.inv_a11
     sim = matmul(matmul(np.ascontiguousarray(f1.l11.T), drift), f1.l11)
     rho = spectral_norm(0.5 * (sim + sim.T))
     if rho > 0.5:
@@ -180,8 +162,7 @@ def check_condition_bounds(p):
     """
     n = p.n
     a = p.assemble()
-    f1 = algorithm_w1(p)
-    f2 = algorithm_w2(p)
+    f1, f2 = p.w1, p.w2
     norm_a = spectral_norm(a)
     omega_a = spectral_norm(omega(a))
     kappa_a = condition_number(a)
@@ -202,17 +183,14 @@ def check_condition_bounds(p):
     results.append(BoundCheckResult.compare(
         "condition-factor-squared", lhs, rhs, SLACK, rhs * noise))
 
-    coupling = spd_solve(p.a11, p.a12)
-    lhs = spectral_norm(coupling) ** 2
-    inv_a11 = matmul(f1.l22, np.ascontiguousarray(f1.l22.T))
-    rhs = spectral_norm(inv_a11) * spectral_norm(p.a22)
+    lhs = spectral_norm(p.coupling) ** 2
+    rhs = spectral_norm(p.inv_a11) * spectral_norm(p.a22)
     k11 = condition_number(p.a11)
     results.append(BoundCheckResult.compare(
         "coupling-norm", lhs, rhs, SLACK, rhs * (1e-8 + 10.0 * n * EPS * k11)))
 
-    s = schur_complement(p, f1.l21)
-    dist = distance_to_symplecticity(f1, p)
-    drift = inv_a11 - s
+    drift = p.inv_a11 - p.schur
+    dist = spectral_norm(drift)
     u22 = f2.l22
     half = upper_substitute(u22, drift)
     sim = upper_substitute(u22, np.ascontiguousarray(half.T))
@@ -272,7 +250,7 @@ def _perturbation_factor(a, kind):
         return cholesky_lower(a)
     if kind == "reverse-cholesky":
         return reverse_cholesky_upper(a)
-    return algorithm_w2(BlockPartition.from_matrix(a)).assemble()
+    return BlockPartition.from_matrix(a).w2.assemble()
 
 
 def check_schur_perturbation(p, e):
@@ -305,11 +283,8 @@ def check_schur_perturbation(p, e):
     e11, e12, e22 = e[:n, :n], e[:n, n:], e[n:, n:]
     ne11, ne12, ne22 = spectral_norm(e11), spectral_norm(e12), spectral_norm(e22)
 
-    inv_a11 = spd_inverse(p.a11)
-    inv_p11 = spd_inverse(pe.a11)
-    norm_inv = spectral_norm(inv_a11)
-    coupling = spd_solve(p.a11, p.a12)
-    norm_w = spectral_norm(coupling)
+    norm_inv = spectral_norm(p.inv_a11)
+    norm_w = spectral_norm(p.coupling)
 
     q = norm_inv * ne11  # contraction factor of the Neumann series
     if q > 0.5:
@@ -320,17 +295,13 @@ def check_schur_perturbation(p, e):
                   + 100.0 * n * EPS * norm_a)
     results = []
 
-    lhs = spectral_norm(inv_p11 - inv_a11)
+    lhs = spectral_norm(pe.inv_a11 - p.inv_a11)
     rhs = norm_inv ** 2 * ne11
     tail_inv = norm_inv * q * q / (1.0 - q)
     results.append(BoundCheckResult.compare(
         ids[0], lhs, rhs, SLACK, base_floor + tail_inv))
 
-    _, l21 = shared_blocks(p)
-    _, l21p = shared_blocks(pe)
-    s = schur_complement(p, l21)
-    sp = schur_complement(pe, l21p)
-    lhs = spectral_norm(sp - s)
+    lhs = spectral_norm(pe.schur - p.schur)
     rhs = ne22 + norm_w ** 2 * ne11 + 2.0 * norm_w * ne12
     norm_a12 = spectral_norm(p.a12)
     delta_inv = norm_inv * q / (1.0 - q)

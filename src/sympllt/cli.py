@@ -7,9 +7,9 @@ failure.  All configuration is flags; no environment variables.
 import argparse
 import sys
 
-from . import diagnostics, matio, testmat
-from .errors import (DimensionError, FactorError, InvalidEntryError, ParseError,
-                     SingularError, SympLLTError, UsageError)
+from . import diagnostics, matio
+from .errors import (DimensionError, DomainError, FactorError, InvalidEntryError,
+                     ParseError, SingularError, SympLLTError, UsageError)
 from .symplectic import BlockPartition, algorithm_w1, algorithm_w2
 
 USAGE_EXIT = 2
@@ -24,14 +24,15 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_family_arguments(cmd, required):
+        cmd.add_argument("--family", required=required, choices=list(diagnostics.FAMILIES))
+        cmd.add_argument("--theta", type=float, default=3.0)
+        cmd.add_argument("--n", type=int, default=6)
+        cmd.add_argument("--t", type=float, default=1e6)
+        cmd.add_argument("--seed", type=int, default=1)
+
     gen = sub.add_parser("gen", help="generate a test matrix and write it to a file")
-    gen.add_argument("--family", required=True,
-                     choices=["minij", "hyperbolic", "hyperbolic-inverse", "pascal", "diagt",
-                              "random"])
-    gen.add_argument("--theta", type=float, default=3.0)
-    gen.add_argument("--n", type=int, default=6)
-    gen.add_argument("--t", type=float, default=1e6)
-    gen.add_argument("--seed", type=int, default=1)
+    add_family_arguments(gen, required=True)
     gen.add_argument("--out", required=True)
 
     fac = sub.add_parser("factor", help="factor a matrix file, write the block factor")
@@ -40,13 +41,7 @@ def _build_parser():
     fac.add_argument("--out", required=True)
 
     diag = sub.add_parser("diagnose", help="print all diagnostics for one matrix")
-    diag.add_argument("--family",
-                      choices=["minij", "hyperbolic", "hyperbolic-inverse", "pascal", "diagt",
-                               "random"])
-    diag.add_argument("--theta", type=float, default=3.0)
-    diag.add_argument("--n", type=int, default=6)
-    diag.add_argument("--t", type=float, default=1e6)
-    diag.add_argument("--seed", type=int, default=1)
+    add_family_arguments(diag, required=False)
     diag.add_argument("--in", dest="infile")
     diag.add_argument("--csv")
 
@@ -55,7 +50,7 @@ def _build_parser():
     tab.add_argument("--csv")
 
     sweep = sub.add_parser("sweep", help="diagnostics over a range of sizes")
-    sweep.add_argument("--family", default="random", choices=["random", "pascal"])
+    sweep.add_argument("--family", default="random", choices=diagnostics.SWEEP_FAMILIES)
     sweep.add_argument("--from", dest="n_from", type=int, required=True)
     sweep.add_argument("--to", dest="n_to", type=int, required=True)
     sweep.add_argument("--seed", type=int, default=0)
@@ -69,25 +64,11 @@ def _build_parser():
     return parser
 
 
-def _generate(args):
-    fam = args.family
-    if fam == "minij":
-        return testmat.minij()
-    if fam == "hyperbolic":
-        return testmat.hyperbolic_spd(args.theta)
-    if fam == "hyperbolic-inverse":
-        return testmat.hyperbolic_spd_inverse(args.theta)
-    if fam == "pascal":
-        return testmat.pascal_symplectic(args.n).assemble()
-    if fam == "diagt":
-        return testmat.diag_family(args.t, args.theta)[1]
-    if fam == "random":
-        return testmat.random_pdp(args.n, args.seed).assemble()
-    raise UsageError(f"unknown family {fam!r}")
-
-
 def _cmd_gen(args):
-    matio.write_matrix(args.out, _generate(args))
+    matrix, _ = diagnostics.generate_family(args.family, **vars(args))
+    if isinstance(matrix, BlockPartition):
+        matrix = matrix.assemble()
+    matio.write_matrix(args.out, matrix)
     return 0
 
 
@@ -104,10 +85,8 @@ def _cmd_diagnose(args):
         matrix = matio.read_matrix(args.infile)
         family, param = "file", 0.0
     elif args.family:
-        matrix = _generate(args)
+        matrix, param = diagnostics.generate_family(args.family, **vars(args))
         family = args.family
-        param = {"hyperbolic": args.theta, "hyperbolic-inverse": args.theta, "diagt": args.t,
-                 "pascal": args.n, "random": args.n}.get(family, 0.0)
     else:
         raise UsageError("diagnose needs --family or --in")
     row = diagnostics.diagnose(matrix, family, param)
@@ -159,7 +138,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (UsageError, ParseError, DimensionError, InvalidEntryError) as exc:
+    except (UsageError, ParseError, DimensionError, InvalidEntryError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except (FactorError, SingularError, SympLLTError) as exc:

@@ -3,7 +3,7 @@ size sweeps, and the aggregated bound-check suite."""
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -15,15 +15,9 @@ from .checks import (
     check_w2_backward,
     perturbation_experiment,
 )
-from .dense import condition_number, matmul, spectral_norm
+from .dense import condition_number, spectral_norm
 from .errors import FactorError, SingularError, UsageError
-from .symplectic import (
-    BlockPartition,
-    algorithm_w1,
-    algorithm_w2,
-    distance_to_symplecticity,
-    omega,
-)
+from .symplectic import BlockPartition, omega
 from .testmat import (
     diag_family,
     minij,
@@ -33,6 +27,27 @@ from .testmat import (
     hyperbolic_spd,
     hyperbolic_spd_inverse,
 )
+
+# Every named family: its generator, which takes the family arguments
+# theta, n, t and seed by keyword and ignores those it does not use, and the
+# argument a diagnostics row reports as its param (None: the row reports 0).
+FAMILIES = {
+    "minij": (lambda **_: minij(), None),
+    "hyperbolic": (lambda theta, **_: hyperbolic_spd(theta), "theta"),
+    "hyperbolic-inverse": (lambda theta, **_: hyperbolic_spd_inverse(theta), "theta"),
+    "pascal": (lambda n, **_: pascal_symplectic(n), "n"),
+    "diagt": (lambda t, theta, **_: diag_family(t, theta)[1], "t"),
+    "random": (lambda n, seed, **_: random_pdp(n, seed), "n"),
+}
+# the families a size sweep runs over, indexed by n
+SWEEP_FAMILIES = ("random", "pascal")
+
+
+def generate_family(name, **args):
+    """(matrix or BlockPartition, param) of the named family; see FAMILIES."""
+    make, param = FAMILIES[name]
+    return make(**args), (args[param] if param else 0.0)
+
 
 TABLE_QUANTITIES = [
     "kappa2_A", "norm2_A", "kappa2_A11", "norm2_A11", "norm2_invA11",
@@ -89,12 +104,9 @@ def diagnose(a, family="custom", param=0.0):
     try:
         values["kappa2_A"] = condition_number(full)
         values["kappa2_A11"] = condition_number(p.a11)
-        f1 = algorithm_w1(p)
-        f2 = algorithm_w2(p)
-        values["norm2_invA11"] = spectral_norm(
-            matmul(f1.l22, np.ascontiguousarray(f1.l22.T))
-        )
-        dist = distance_to_symplecticity(f1, p)
+        f1, f2 = p.w1, p.w2
+        values["norm2_invA11"] = spectral_norm(p.inv_a11)
+        dist = spectral_norm(p.inv_a11 - p.schur)
         values["dist_sympl"] = dist
         values["dist_sympl_rel"] = dist / norm_a
         values["relerr_w1"] = spectral_norm(f1.residual(p)) / norm_a
@@ -132,15 +144,12 @@ def run_sweep(family, n_from, n_to, seed=0):
     """
     if n_from > n_to or n_from < 1:
         raise UsageError(f"run_sweep: bad range {n_from}..{n_to}")
+    if family not in SWEEP_FAMILIES:
+        raise UsageError(f"run_sweep: unsupported family {family!r}")
     rows = []
     for n in range(n_from, n_to + 1):
-        if family == "random":
-            p = random_pdp(n, seed + n)
-            rows.append(diagnose(p, "random", n))
-        elif family == "pascal":
-            rows.append(diagnose(pascal_symplectic(n), "pascal", n))
-        else:
-            raise UsageError(f"run_sweep: unsupported family {family!r}")
+        matrix, param = generate_family(family, n=n, seed=seed + n)
+        rows.append(diagnose(matrix, family, param))
     return rows
 
 
@@ -277,7 +286,7 @@ def run_checks(scope="all", inject_w2_fault=False):
             for kind in ("cholesky", "reverse-cholesky", "l2-form"):
                 per_fixture.append(perturbation_experiment(a, e, kind))
             per_fixture.extend(check_schur_perturbation(p, e))
-        results.extend(r.with_context(name) for r in per_fixture)
+        results.extend(replace(r, context=name) for r in per_fixture)
 
     holds = sum(1 for r in results if r.verdict == "holds")
     violated = sum(1 for r in results if r.verdict == "violated")

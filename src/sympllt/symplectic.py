@@ -14,6 +14,7 @@ matrix is from preserving the canonical skew form J = [0 I; -I 0].
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,12 +26,22 @@ from .factor import (
     lower_triangular_inverse,
     require_symmetric,
     reverse_cholesky_upper,
+    upper_substitute,
 )
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """A symmetric 2n x 2n matrix stored as blocks (a21 is implicitly a12^T)."""
+    """A symmetric 2n x 2n matrix stored as blocks (a21 is implicitly a12^T).
+
+    Factors and intermediates are computed on first use and cached as
+    read-only arrays; the blocks must not change once one has been read.
+    """
 
     n: int
     a11: np.ndarray
@@ -65,6 +76,38 @@ class BlockPartition:
         out[n:, :n] = self.a12.T
         out[n:, n:] = self.a22
         return out
+
+    @cached_property
+    def shared(self):
+        """(l11, l21) of both algorithms: l11 = chol(a11), l11 l21^T = a12."""
+        l11 = cholesky_lower(self.a11, stage="leading-block cholesky")
+        l21 = np.ascontiguousarray(forward_substitute(l11, self.a12).T)
+        return _read_only(l11), _read_only(l21)
+
+    @cached_property
+    def schur(self):
+        return _read_only(schur_complement(self, self.shared[1]))
+
+    @cached_property
+    def w1(self):
+        return algorithm_w1(self)
+
+    @cached_property
+    def w2(self):
+        return algorithm_w2(self)
+
+    @cached_property
+    def inv_a11(self):
+        """inv(a11) = l22 l22^T from the w1 factor; bitwise spd_inverse(a11)."""
+        l22 = self.w1.l22
+        return _read_only(matmul(l22, np.ascontiguousarray(l22.T)))
+
+    @cached_property
+    def coupling(self):
+        """inv(a11) a12 from two solves with l11; bitwise spd_solve(a11, a12)."""
+        l11, l21 = self.shared
+        return _read_only(upper_substitute(np.ascontiguousarray(l11.T),
+                                           np.ascontiguousarray(l21.T)))
 
 
 @dataclass(frozen=True)
@@ -146,16 +189,6 @@ def assemble_omega_blocks(o11, o12, o22):
     return out
 
 
-def shared_blocks(p):
-    """The (l11, l21) pair common to both algorithms, computed once.
-
-    l11 is the Cholesky factor of a11 and l21^T solves l11 l21^T = a12.
-    """
-    l11 = cholesky_lower(p.a11, stage="leading-block cholesky")
-    l21 = np.ascontiguousarray(forward_substitute(l11, p.a12).T)
-    return l11, l21
-
-
 def schur_complement(p, l21):
     """a22 - l21 l21^T, symmetrized by averaging after the subtraction."""
     s = p.a22 - matmul(l21, np.ascontiguousarray(l21.T))
@@ -168,22 +201,21 @@ def algorithm_w1(p):
     In exact arithmetic L L^T reproduces the input only up to a block
     diagonal correction whose (2,2) block is inv(a11) - schur(a11).
     """
-    l11, l21 = shared_blocks(p)
-    x = lower_triangular_inverse(l11)
-    l22 = np.ascontiguousarray(x.T)
-    return BlockFactor(n=p.n, l11=l11, l21=l21, l22=l22, algorithm="w1")
+    l11, l21 = p.shared
+    l22 = np.ascontiguousarray(lower_triangular_inverse(l11).T)
+    return BlockFactor(n=p.n, l11=l11, l21=l21, l22=_read_only(l22), algorithm="w1")
 
 
 def algorithm_w2(p):
     """Backward-stable factorization: l22 from the Schur complement.
 
-    l11 and l21 are bitwise identical to algorithm_w1's; l22 is the
-    Reverse Cholesky factor of a22 - l21 l21^T.
+    l11 and l21 are the partition's shared blocks, the same read-only
+    arrays algorithm_w1 returns; l22 is the Reverse Cholesky factor of
+    the Schur complement a22 - l21 l21^T.
     """
-    l11, l21 = shared_blocks(p)
-    s = schur_complement(p, l21)
-    l22 = reverse_cholesky_upper(s, stage="schur-complement reverse-cholesky")
-    return BlockFactor(n=p.n, l11=l11, l21=l21, l22=l22, algorithm="w2")
+    l11, l21 = p.shared
+    l22 = reverse_cholesky_upper(p.schur, stage="schur-complement reverse-cholesky")
+    return BlockFactor(n=p.n, l11=l11, l21=l21, l22=_read_only(l22), algorithm="w2")
 
 
 def distance_to_symplecticity(f, p):
@@ -214,6 +246,11 @@ def symplectic_inverse(a, tol=1e-8):
     bound = tol * spectral_norm(a) ** 2
     if loss > bound:
         raise NotSymplecticError(loss, bound)
+    return _structure_inverse(a)
+
+
+def _structure_inverse(a):
+    # J^T a^T J by exact block moves (no arithmetic)
     n = a.shape[0] // 2
     at = a.T
     out = np.empty_like(a)

@@ -11,8 +11,8 @@ import numpy as np
 
 from .dense import matmul
 from .errors import DomainError, InvalidEntryError
-from .factor import lower_triangular_inverse, cholesky_lower
-from .symplectic import BlockPartition
+from .factor import spd_inverse
+from .symplectic import BlockPartition, _structure_inverse
 
 _MASK = (1 << 64) - 1
 _TWO53 = 2.0 ** -53
@@ -123,8 +123,11 @@ def hyperbolic_s(theta):
     """
     if not math.isfinite(theta):
         raise DomainError("hyperbolic_s: theta must be finite")
-    c = math.cosh(theta)
-    s = math.sinh(theta)
+    try:
+        c = math.cosh(theta)
+        s = math.sinh(theta)
+    except OverflowError:
+        raise InvalidEntryError("hyperbolic_s: generated non-finite entries") from None
     out = np.array(
         [
             [c, s, 0.0, s],
@@ -149,14 +152,7 @@ def hyperbolic_spd_inverse(theta):
     Exact block moves keep the result bitwise symmetric and deterministic;
     for an exactly structure-preserving argument this is the exact inverse.
     """
-    a = hyperbolic_spd(theta)
-    n = a.shape[0] // 2
-    out = np.empty_like(a)
-    out[:n, :n] = a[n:, n:]
-    out[:n, n:] = -a[n:, :n]
-    out[n:, :n] = -a[:n, n:]
-    out[n:, n:] = a[:n, :n]
-    return out
+    return _structure_inverse(hyperbolic_spd(theta))
 
 
 def _pascal_int(n):
@@ -224,16 +220,14 @@ def diag_family(t, theta):
 def pdp_assemble(g, h):
     """Assemble the structure-preserving SPD form [g, gh; hg, hgh + inv(g)].
 
-    ``g`` must be SPD and ``h`` symmetric; inv(g) comes from Cholesky-based
-    solves and the (2,2) block is symmetrized after assembly.
+    ``g`` must be SPD and ``h`` symmetric; inv(g) is ``spd_inverse(g)`` and
+    the (2,2) block is symmetrized after assembly.
     """
     g = np.asarray(g, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     if g.shape != h.shape or g.shape[0] != g.shape[1]:
         raise DomainError("pdp_assemble: g and h must be square of equal order")
-    low = cholesky_lower(g)
-    linv = lower_triangular_inverse(low)
-    ginv = matmul(np.ascontiguousarray(linv.T), linv)
+    ginv = spd_inverse(g)
     a12 = matmul(g, h)
     a22 = matmul(h, a12) + ginv
     a22 = 0.5 * (a22 + a22.T)
@@ -267,3 +261,4 @@ def symmetric_perturbation(order, norm, seed):
     if scale == 0.0:
         raise DomainError("symmetric_perturbation: degenerate draw")
     return e * (norm / scale)
+

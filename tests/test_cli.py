@@ -134,3 +134,27 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["gen", "--family", "hilbert", "--out", "/tmp/x.mat"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["diagnose", "--family", "hyperbolic", "--theta", "1000"],
+    ["diagnose", "--family", "hyperbolic-inverse", "--theta", "-1000"],
+    ["diagnose", "--family", "hyperbolic", "--theta", "nan"],
+    ["diagnose", "--family", "random", "--n", "0"],
+    ["diagnose", "--family", "pascal", "--n", "17"],
+    ["diagnose", "--family", "diagt", "--t", "0.5"],
+    ["diagnose", "--family", "diagt", "--theta", "-1"],
+    ["gen", "--family", "hyperbolic", "--theta", "1000"],
+    ["gen", "--family", "hyperbolic-inverse", "--theta", "800"],
+    ["gen", "--family", "pascal", "--n", "20"],
+    ["gen", "--family", "random", "--n", "-3"],
+])
+def test_out_of_range_family_argument_is_usage_error(tmp_path, capsys, args):
+    out = tmp_path / "x.mat"
+    if args[0] == "gen":
+        args = [*args, "--out", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err and "numerical failure" not in err
+    assert not out.exists()

@@ -155,7 +155,7 @@ def use_kernel(monkeypatch, kernel):
             monkeypatch.setattr(module, "matmul", kernel)
             patched.append(name)
     assert {"sympllt", "sympllt.dense", "sympllt.symplectic", "sympllt.checks",
-            "sympllt.diagnostics", "sympllt.testmat"} <= set(patched)
+            "sympllt.testmat"} <= set(patched)
 
 
 def float_bits(values):
