@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dense import EPS, condition_number, frobenius_norm, matmul, spectral_norm
+from .dense import (EPS, condition_number, frobenius_norm, matmul, norm_and_condition,
+                    spectral_norm)
 from .errors import FactorError
 from .factor import (
     cholesky_lower,
@@ -121,11 +122,12 @@ def check_omega_factor_bounds(p):
     n = p.n
     f1, f2 = p.w1, p.w2
     omega_a = spectral_norm(omega(p.assemble()))
-    omega_l1 = spectral_norm(omega(f1.assemble()))
-    omega_l2 = spectral_norm(omega(f2.assemble()))
+    omega_l1 = spectral_norm(f1.omega(p))
+    omega_2 = f2.omega(p)
+    omega_l2 = spectral_norm(omega_2)
     norm_inv_a11 = spectral_norm(p.inv_a11)
-    eye = np.eye(n)
-    mix = spectral_norm(matmul(np.ascontiguousarray(f1.l11.T), f2.l22) - eye)
+    # l11^T u22 - I is the (1,2) block of omega(L2): both factors share l11
+    mix = spectral_norm(omega_2[:n, n:])
 
     floor = 100.0 * n * EPS * max(1.0, norm_inv_a11 * omega_a,
                                   spectral_norm(p.assemble()))
@@ -163,9 +165,9 @@ def check_condition_bounds(p):
     n = p.n
     a = p.assemble()
     f1, f2 = p.w1, p.w2
-    norm_a = spectral_norm(a)
+    norm_a, kappa = norm_and_condition(a)
     omega_a = spectral_norm(omega(a))
-    kappa_a = condition_number(a)
+    kappa_a = kappa()
     noise = 1e-8 + 10.0 * n * EPS * kappa_a
     results = []
 
@@ -238,8 +240,9 @@ def perturbation_experiment(a, e, kind):
     delta = after - before
     norm_l = spectral_norm(before)
     lhs = frobenius_norm(delta) / norm_l
-    kappa_a = condition_number(a)
-    rhs = (kappa_a / (1.0 - damp)) * frobenius_norm(e) / spectral_norm(a) / math.sqrt(2.0)
+    norm_a, kappa = norm_and_condition(a)
+    kappa_a = kappa()
+    rhs = (kappa_a / (1.0 - damp)) * frobenius_norm(e) / norm_a / math.sqrt(2.0)
     n = a.shape[0] // 2
     floor = 100.0 * n * EPS * kappa_a * frobenius_norm(before) / norm_l
     return BoundCheckResult.compare(bound_id, lhs, rhs, SLACK, floor)

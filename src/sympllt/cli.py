@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 bound violated, 2 usage error, 3 numerical
-failure.  All configuration is flags; no environment variables.
+Exit codes: 0 success, 1 bound violated, 2 usage error (including a file
+that cannot be read, parsed or written), 3 numerical failure.  All
+configuration is flags; no environment variables.
 """
 
 import argparse
@@ -138,7 +139,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (UsageError, ParseError, DimensionError, InvalidEntryError, DomainError) as exc:
+    except (UsageError, ParseError, DimensionError, InvalidEntryError, DomainError,
+            OSError) as exc:
+        # OSError: an --in file that cannot be read or an --out/--csv path
+        # that cannot be written (missing, a directory, no permission)
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except (FactorError, SingularError, SympLLTError) as exc:

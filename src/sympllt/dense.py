@@ -44,12 +44,20 @@ def _nonzero_extents(nonzero):
     return first.tolist(), stop.tolist()
 
 
-def matmul(a, b):
+def _safe_start(acc):
+    """True if ``acc`` is finite and has no -0.0 entry, so no +-0 term changes it."""
+    return bool(np.isfinite(acc).all() and not np.signbit(acc[acc == 0.0]).any())
+
+
+def matmul(a, b, acc=None):
     """Matrix product with a fixed summation order.
 
     Each entry is accumulated over the shared index k in ascending order
     (rank-1 updates), so results are deterministic across runs and exact
     whenever all products and partial sums are exactly representable.
+    The running sums start from +0.0, or from a copy of ``acc`` when it is
+    given: ``matmul(c, d, matmul(a, b))`` is bitwise the product of
+    ``[a c]`` and ``[b; d]``, and ``acc`` itself is not modified.
 
     Terms that cannot change a bit are skipped.  For finite inputs with an
     inner dimension of at least 64, the k-th update touches only the rows
@@ -60,17 +68,25 @@ def matmul(a, b):
     the upper one is copied from it.  The result is bitwise that of the
     full loop because a running sum that starts at +0.0 is never -0.0, so
     adding a +-0 product never changes it, and because IEEE multiplication
-    commutes, so ``a a^T`` is bitwise symmetric.  NaN or infinite inputs
-    keep every term (``0 * inf`` is NaN).
+    commutes, so ``a a^T`` is bitwise symmetric.  The same holds from an
+    ``acc`` that is finite and has no -0.0 entry (mirroring also needs it
+    bitwise symmetric); any other ``acc``, and NaN or infinite inputs, keep
+    every term (``0 * inf`` is NaN, ``-0.0 + 0.0`` is +0.0).
     """
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
     (m, inner), n = a.shape, b.shape[1]
-    out = np.zeros((m, n))
+    if acc is None:
+        out = np.zeros((m, n))
+    else:
+        out = as_matrix(acc).copy()
+        if out.shape != (m, n):
+            raise DimensionError(f"matmul: accumulator is {out.shape}, product is {(m, n)}")
     if (inner < _MIN_INNER or out.size == 0
-            or not (np.isfinite(a).all() and np.isfinite(b).all())):
+            or not (np.isfinite(a).all() and np.isfinite(b).all())
+            or not (acc is None or _safe_start(out))):
         for k in range(inner):
             out += a[:, k : k + 1] * b[k : k + 1, :]
         return out
@@ -78,7 +94,8 @@ def matmul(a, b):
     col_first, col_stop = _nonzero_extents((b != 0).T)
     bands = max(1, m // _BAND_ROWS)
     height = -(-m // bands)
-    symmetric = bands > 1 and np.array_equal(a, b.T)
+    symmetric = (bands > 1 and np.array_equal(a, b.T)
+                 and (acc is None or np.array_equal(out, out.T)))
     for i0 in range(0, m, height):
         i1 = min(i0 + height, m)
         col_limit = i1 if symmetric else n
@@ -116,10 +133,7 @@ def spectral_norm(a):
     if a.size == 0:
         raise DimensionError("spectral_norm: matrix is empty")
     _require_finite(a, "spectral_norm")
-    if is_bitwise_symmetric(a):
-        ev = np.linalg.eigvalsh(a)
-        return float(max(abs(ev[0]), abs(ev[-1])))
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    return _norm(a, _symmetric_eigenvalues(a))
 
 
 def condition_number(a):
@@ -133,8 +147,39 @@ def condition_number(a):
     if a.shape[0] != a.shape[1]:
         raise DimensionError("condition_number: matrix must be square")
     _require_finite(a, "condition_number")
-    if is_bitwise_symmetric(a):
-        ev = np.linalg.eigvalsh(a)
+    return _condition(a, _symmetric_eigenvalues(a))
+
+
+def norm_and_condition(a):
+    """``spectral_norm(a)`` and a function returning ``condition_number(a)``.
+
+    Both values come from one symmetric eigensolve when ``a`` is bitwise
+    symmetric, and are bitwise those of the two separate calls.  The
+    condition number is deferred so that a caller keeps the norm of a
+    singular matrix and sees condition_number's SingularError where it
+    asks for the condition number.
+    """
+    a = as_matrix(a)
+    if a.size == 0 or a.shape[0] != a.shape[1]:
+        raise DimensionError("norm_and_condition: matrix must be square and non-empty")
+    _require_finite(a, "norm_and_condition")
+    ev = _symmetric_eigenvalues(a)
+    return _norm(a, ev), lambda: _condition(a, ev)
+
+
+def _symmetric_eigenvalues(a):
+    # ascending eigenvalues of a bitwise-symmetric matrix, else None
+    return np.linalg.eigvalsh(a) if is_bitwise_symmetric(a) else None
+
+
+def _norm(a, ev):
+    if ev is not None:
+        return float(max(abs(ev[0]), abs(ev[-1])))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def _condition(a, ev):
+    if ev is not None:
         if ev[0] > 0.0:
             return float(ev[-1] / ev[0])
         if ev[0] == 0.0 or ev[-1] == 0.0:
@@ -143,7 +188,7 @@ def condition_number(a):
         inv = np.linalg.solve(a, np.eye(a.shape[0]))
     except np.linalg.LinAlgError as exc:
         raise SingularError(f"condition_number: {exc}") from exc
-    kappa = spectral_norm(a) * spectral_norm(inv)
+    kappa = _norm(a, ev) * spectral_norm(inv)
     if not np.isfinite(kappa):
         raise SingularError("condition_number: singular to working precision")
     return float(kappa)

@@ -15,7 +15,7 @@ from .checks import (
     check_w2_backward,
     perturbation_experiment,
 )
-from .dense import condition_number, spectral_norm
+from .dense import norm_and_condition, spectral_norm
 from .errors import FactorError, SingularError, UsageError
 from .symplectic import BlockPartition, omega
 from .testmat import (
@@ -91,19 +91,20 @@ def diagnose(a, family="custom", param=0.0):
     """
     p = a if isinstance(a, BlockPartition) else BlockPartition.from_matrix(a)
     full = p.assemble()
-    norm_a = spectral_norm(full)
+    norm_a, kappa_a = norm_and_condition(full)
+    norm_a11, kappa_a11 = norm_and_condition(p.a11)
     values = {
         "family": family,
         "param": float(param),
         "n": p.n,
         "norm2_A": norm_a,
-        "norm2_A11": spectral_norm(p.a11),
+        "norm2_A11": norm_a11,
         "omega_A": spectral_norm(omega(full)),
     }
     error = ""
     try:
-        values["kappa2_A"] = condition_number(full)
-        values["kappa2_A11"] = condition_number(p.a11)
+        values["kappa2_A"] = kappa_a()
+        values["kappa2_A11"] = kappa_a11()
         f1, f2 = p.w1, p.w2
         values["norm2_invA11"] = spectral_norm(p.inv_a11)
         dist = spectral_norm(p.inv_a11 - p.schur)
@@ -111,8 +112,8 @@ def diagnose(a, family="custom", param=0.0):
         values["dist_sympl_rel"] = dist / norm_a
         values["relerr_w1"] = spectral_norm(f1.residual(p)) / norm_a
         values["relerr_w2"] = spectral_norm(f2.residual(p)) / norm_a
-        values["omega_L1"] = spectral_norm(omega(f1.assemble()))
-        values["omega_L2"] = spectral_norm(omega(f2.assemble()))
+        values["omega_L1"] = spectral_norm(f1.omega(p))
+        values["omega_L2"] = spectral_norm(f2.omega(p))
     except (FactorError, SingularError) as exc:
         error = str(exc)
     for name in TABLE_QUANTITIES:

@@ -29,12 +29,16 @@ def read_matrix(path):
     """Read a matrix written by ``write_matrix`` (or by hand in that format).
 
     Raises ParseError with the 1-based line number of the first problem:
-    a missing or malformed header, a row with the wrong number of values,
-    a bad or non-finite float literal, missing rows, or a non-blank line
-    after the last data row (extra rows are rejected, not ignored).
+    a byte that is not ASCII, a missing or malformed header, a row with
+    the wrong number of values, a bad or non-finite float literal, missing
+    rows, or a non-blank line after the last data row (extra rows are
+    rejected, not ignored).
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise _non_ascii_error(path) from None
 
     k = 0
     while k < len(lines) and lines[k].lstrip().startswith("#"):
@@ -81,3 +85,16 @@ def _bad_token_error(lineno, parts):
             return ParseError(lineno, f"bad float literal {tok!r}")
         if not np.isfinite(val):
             return ParseError(lineno, f"non-finite value {tok!r}")
+
+
+def _non_ascii_error(path):
+    """ParseError naming the line of the first byte of a file that is not ASCII."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # lines numbered as read_matrix splits them; the bad byte starts or ends one
+        line = len((data[: exc.start].decode("ascii") + "x").splitlines())
+        return ParseError(line, f"non-ASCII byte {data[exc.start]:#04x}")
+    return ParseError(1, "file changed while it was read")

@@ -85,8 +85,25 @@ class BlockPartition:
         return _read_only(l11), _read_only(l21)
 
     @cached_property
+    def gram(self):
+        """(l11 l11^T, l21 l11^T, l21 l21^T): the blocks of L L^T w1 and w2 share."""
+        l11, l21 = self.shared
+        return _read_only(_outer(l11, l11)), _read_only(_outer(l21, l11)), self._l21_outer
+
+    @cached_property
+    def _l21_outer(self):
+        # l21 l21^T on its own: the Schur complement needs no other gram block
+        l21 = self.shared[1]
+        return _read_only(_outer(l21, l21))
+
+    @cached_property
+    def omega11(self):
+        """The (1,1) block of omega(L), l11^T l21 - l21^T l11, shared by w1 and w2."""
+        return _read_only(_omega11(*self.shared))
+
+    @cached_property
     def schur(self):
-        return _read_only(schur_complement(self, self.shared[1]))
+        return _read_only(_symmetrize(self.a22 - self._l21_outer))
 
     @cached_property
     def w1(self):
@@ -100,7 +117,7 @@ class BlockPartition:
     def inv_a11(self):
         """inv(a11) = l22 l22^T from the w1 factor; bitwise spd_inverse(a11)."""
         l22 = self.w1.l22
-        return _read_only(matmul(l22, np.ascontiguousarray(l22.T)))
+        return _read_only(_outer(l22, l22))
 
     @cached_property
     def coupling(self):
@@ -129,9 +146,57 @@ class BlockFactor:
         return out
 
     def residual(self, p):
-        """a - L L^T against the partition the factor came from."""
-        lmat = self.assemble()
-        return p.assemble() - matmul(lmat, lmat.T)
+        """a - L L^T against the partition the factor came from.
+
+        L L^T = [l11 l11^T, l11 l21^T; l21 l11^T, l21 l21^T + l22 l22^T] is
+        formed block by block, the (2,2) block by continuing the sums of
+        l21 l21^T with the l22 terms.  Each entry adds the nonzero terms of
+        the full product ``matmul(L, L^T)`` in the same order and only skips
+        products with the zero block, so the result is bitwise the same.
+        """
+        n, l11, l21, l22 = self.n, self.l11, self.l21, self.l22
+        if self._shares_blocks(p):
+            g11, g21, g22 = p.gram
+        else:
+            g11, g21, g22 = _outer(l11, l11), _outer(l21, l11), _outer(l21, l21)
+        g22 = matmul(l22, np.ascontiguousarray(l22.T), g22)
+        out = np.empty((2 * n, 2 * n))
+        out[:n, :n] = p.a11 - g11
+        out[:n, n:] = p.a12 - g21.T
+        out[n:, :n] = p.a12.T - g21
+        out[n:, n:] = p.a22 - g22
+        return out
+
+    def omega(self, p):
+        """omega(L) = L^T J L - J, bitwise ``omega(self.assemble())``.
+
+        J L = [l21 l22; -l11 0], so L^T J L = [o11, l11^T l22; l22^T (-l11), 0]
+        with o11 = l11^T l21 continued with l21^T (-l11).  As in residual,
+        each block sums the full product's nonzero terms in the same order.
+        """
+        n = self.n
+        o11 = p.omega11 if self._shares_blocks(p) else _omega11(self.l11, self.l21)
+        out = np.zeros((2 * n, 2 * n))
+        out[:n, :n] = o11
+        out[:n, n:] = matmul(np.ascontiguousarray(self.l11.T), self.l22)
+        out[n:, :n] = matmul(np.ascontiguousarray(self.l22.T), -self.l11)
+        return out - structure_matrix(n)
+
+    def _shares_blocks(self, p):
+        # p's cached products apply when this factor holds p's own l11 and
+        # l21; a partition that has not factored itself is not factored here
+        shared = vars(p).get("shared")
+        return shared is not None and self.l11 is shared[0] and self.l21 is shared[1]
+
+
+def _outer(x, y):
+    # x y^T with the fixed-order product
+    return matmul(x, np.ascontiguousarray(y.T))
+
+
+def _omega11(l11, l21):
+    l11t_l21 = matmul(np.ascontiguousarray(l11.T), l21)
+    return matmul(np.ascontiguousarray(l21.T), -l11, l11t_l21)
 
 
 def structure_matrix(n):
@@ -191,7 +256,10 @@ def assemble_omega_blocks(o11, o12, o22):
 
 def schur_complement(p, l21):
     """a22 - l21 l21^T, symmetrized by averaging after the subtraction."""
-    s = p.a22 - matmul(l21, np.ascontiguousarray(l21.T))
+    return _symmetrize(p.a22 - _outer(l21, l21))
+
+
+def _symmetrize(s):
     return 0.5 * (s + s.T)
 
 
@@ -228,7 +296,7 @@ def distance_to_symplecticity(f, p):
         raise UsageError(
             f"distance_to_symplecticity needs a w1 factor, got {f.algorithm!r}"
         )
-    inv_a11 = matmul(f.l22, np.ascontiguousarray(f.l22.T))
+    inv_a11 = _outer(f.l22, f.l22)
     s = schur_complement(p, f.l21)
     return spectral_norm(inv_a11 - s)
 

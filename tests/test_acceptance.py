@@ -6,6 +6,7 @@ clock.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+import sympllt
 from sympllt import (
     BlockPartition,
     algorithm_w1,
@@ -330,10 +332,14 @@ def test_criterion_10_fault_injection():
     injected = check_w2_backward(p, l22_perturbation=1e-3)
     assert injected.verdict == "violated"
 
+    # the child imports the same sympllt package as this test, installed or not
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(sympllt.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "sympllt.cli", "check", "--scope", "minij",
          "--inject-w2-fault"],
         capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
     )
     assert proc.returncode == 1
     assert "violated" in proc.stdout

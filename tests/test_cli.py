@@ -158,3 +158,27 @@ def test_out_of_range_family_argument_is_usage_error(tmp_path, capsys, args):
     assert err.startswith("error:")
     assert "Traceback" not in err and "numerical failure" not in err
     assert not out.exists()
+
+
+def _non_ascii_file(tmp_path):
+    path = tmp_path / "latin1.mat"
+    path.write_bytes(b"2 2\n1.0 0.0\n0.0 1.0\xe9\n")
+    return path
+
+
+@pytest.mark.parametrize("make_args", [
+    lambda tmp: ["diagnose", "--in", str(tmp / "missing.mat")],
+    lambda tmp: ["diagnose", "--in", str(tmp)],
+    lambda tmp: ["diagnose", "--in", str(_non_ascii_file(tmp))],
+    lambda tmp: ["factor", "--alg", "w2", "--in", str(tmp / "missing.mat"),
+                 "--out", str(tmp / "l.mat")],
+    lambda tmp: ["gen", "--family", "minij", "--out", str(tmp / "no-dir" / "a.mat")],
+    lambda tmp: ["table", "--id", "3", "--csv", str(tmp / "no-dir" / "t.csv")],
+    lambda tmp: ["sweep", "--from", "1", "--to", "2", "--csv", str(tmp / "no-dir" / "s.csv")],
+], ids=["diagnose-missing", "diagnose-directory", "diagnose-non-ascii", "factor-missing",
+        "gen-out-dir-missing", "table-csv-dir-missing", "sweep-csv-dir-missing"])
+def test_file_errors_are_usage_errors(tmp_path, capsys, make_args):
+    assert main(make_args(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err and "numerical failure" not in err

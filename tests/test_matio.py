@@ -94,3 +94,17 @@ def test_malformed_inputs_report_line(tmp_path, content, line):
     with pytest.raises(ParseError) as err:
         read_matrix(path)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize("content,line", [
+    (b"2 2\n1 0\n0 1\xe9\n", 3),
+    (b"\xe92 2\n", 1),
+    (b"# note\r\n2 2\r\n1 0\xff\r\n0 1\r\n", 3),
+    (b"2 2\r1 0\r0 \xc3\xa91\r", 3),
+])
+def test_non_ascii_byte_names_its_line(tmp_path, content, line):
+    path = tmp_path / "latin.mat"
+    path.write_bytes(content)
+    with pytest.raises(ParseError) as err:
+        read_matrix(path)
+    assert err.value.line == line and "non-ASCII byte" in str(err.value)

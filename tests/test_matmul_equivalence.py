@@ -19,13 +19,14 @@ from sympllt.symplectic import algorithm_w1, algorithm_w2
 from sympllt.testmat import random_pdp
 
 
-def frozen_matmul(a, b):
-    """The plain kernel: every term, ascending k, full rank-1 updates."""
+def frozen_matmul(a, b, acc=None):
+    """The plain kernel: every term, ascending k, full rank-1 updates,
+    starting from +0.0 or from a copy of ``acc``."""
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]))
+    out = np.zeros((a.shape[0], b.shape[1])) if acc is None else as_matrix(acc).copy()
     for k in range(a.shape[1]):
         out += a[:, k : k + 1] * b[k : k + 1, :]
     return out
