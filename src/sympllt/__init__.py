@@ -33,7 +33,6 @@ from .errors import (
     DomainError,
     FactorError,
     InvalidEntryError,
-    NotSymplecticError,
     ParseError,
     PivotNotPositiveError,
     SingularError,
@@ -57,13 +56,10 @@ from .symplectic import (
     algorithm_w2,
     distance_to_symplecticity,
     gamma,
-    is_symplectic_block_factor,
     loss_of_symplecticity,
     omega,
     omega_blocks,
-    schur_complement,
     structure_matrix,
-    symplectic_inverse,
 )
 from .testmat import (
     SplitMix64,

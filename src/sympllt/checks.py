@@ -27,7 +27,7 @@ from .factor import (
     spd_inverse,
     upper_substitute,
 )
-from .symplectic import BlockPartition, gamma, omega
+from .symplectic import BlockPartition, gamma
 
 SLACK = 1e-6
 
@@ -84,7 +84,7 @@ def check_w2_backward(p, l22_perturbation=0.0):
     if l22_perturbation:
         f = replace(f, l22=f.l22 * (1.0 + l22_perturbation))
     lhs = spectral_norm(f.residual(p))
-    rhs = 4.0 * n * gamma(n + 2) * spectral_norm(p.assemble())
+    rhs = 4.0 * n * gamma(n + 2) * p.norm
     return BoundCheckResult.compare("w2-backward", lhs, rhs, 0.0, 0.0)
 
 
@@ -98,12 +98,10 @@ def check_w1_error_bound(p):
     """
     n = p.n
     lhs = spectral_norm(p.w1.residual(p))
-    dist = spectral_norm(p.inv_a11 - p.schur)
-    k11 = condition_number(p.a11)
-    norm_a = spectral_norm(p.assemble())
+    k11 = p.kappa_a11
     g = gamma(n + 1)
-    rhs = dist * (1.0 + 3.0 * n * g * k11) + 8.0 * n * g * k11 * norm_a
-    floor = 100.0 * n * EPS * norm_a
+    rhs = p.dist * (1.0 + 3.0 * n * g * k11) + 8.0 * n * g * k11 * p.norm
+    floor = 100.0 * n * EPS * p.norm
     return BoundCheckResult.compare("w1-error-bound", lhs, rhs, SLACK, floor)
 
 
@@ -121,24 +119,20 @@ def check_omega_factor_bounds(p):
     """
     n = p.n
     f1, f2 = p.w1, p.w2
-    omega_a = spectral_norm(omega(p.assemble()))
     omega_l1 = spectral_norm(f1.omega(p))
     omega_2 = f2.omega(p)
     omega_l2 = spectral_norm(omega_2)
-    norm_inv_a11 = spectral_norm(p.inv_a11)
     # l11^T u22 - I is the (1,2) block of omega(L2): both factors share l11
     mix = spectral_norm(omega_2[:n, n:])
 
-    floor = 100.0 * n * EPS * max(1.0, norm_inv_a11 * omega_a,
-                                  spectral_norm(p.assemble()))
+    floor = 100.0 * n * EPS * max(1.0, p.norm_inv_a11 * p.omega_norm, p.norm)
     results = [
         BoundCheckResult.compare("omega-factor-amplification", omega_l1,
-                                 norm_inv_a11 * omega_a, SLACK, floor),
+                                 p.norm_inv_a11 * p.omega_norm, SLACK, floor),
         BoundCheckResult.compare("omega-factor-ordering", omega_l2,
                                  omega_l1 + mix, SLACK, floor),
     ]
-    drift = p.schur - p.inv_a11
-    sim = matmul(matmul(np.ascontiguousarray(f1.l11.T), drift), f1.l11)
+    sim = matmul(matmul(np.ascontiguousarray(f1.l11.T), -p.drift), f1.l11)
     rho = spectral_norm(0.5 * (sim + sim.T))
     if rho > 0.5:
         results.append(BoundCheckResult.skip(
@@ -163,11 +157,8 @@ def check_condition_bounds(p):
     slack once kappa exceeds ~1e10.
     """
     n = p.n
-    a = p.assemble()
     f1, f2 = p.w1, p.w2
-    norm_a, kappa = norm_and_condition(a)
-    omega_a = spectral_norm(omega(a))
-    kappa_a = kappa()
+    norm_a, omega_a, kappa_a = p.norm, p.omega_norm, p.kappa
     noise = 1e-8 + 10.0 * n * EPS * kappa_a
     results = []
 
@@ -186,15 +177,12 @@ def check_condition_bounds(p):
         "condition-factor-squared", lhs, rhs, SLACK, rhs * noise))
 
     lhs = spectral_norm(p.coupling) ** 2
-    rhs = spectral_norm(p.inv_a11) * spectral_norm(p.a22)
-    k11 = condition_number(p.a11)
+    rhs = p.norm_inv_a11 * spectral_norm(p.a22)
     results.append(BoundCheckResult.compare(
-        "coupling-norm", lhs, rhs, SLACK, rhs * (1e-8 + 10.0 * n * EPS * k11)))
+        "coupling-norm", lhs, rhs, SLACK, rhs * (1e-8 + 10.0 * n * EPS * p.kappa_a11)))
 
-    drift = p.inv_a11 - p.schur
-    dist = spectral_norm(drift)
     u22 = f2.l22
-    half = upper_substitute(u22, drift)
+    half = upper_substitute(u22, p.drift)
     sim = upper_substitute(u22, np.ascontiguousarray(half.T))
     rho = spectral_norm(0.5 * (sim + sim.T))
     if rho >= 1.0:
@@ -202,7 +190,7 @@ def check_condition_bounds(p):
             "condition-of-enforced-product", f"spectral radius {rho:.3e} >= 1"))
     else:
         lhs = condition_number(f1.assemble()) ** 2
-        rhs = kappa_a / (1.0 - rho) * (1.0 + dist / norm_a)
+        rhs = kappa_a / (1.0 - rho) * (1.0 + p.dist / norm_a)
         results.append(BoundCheckResult.compare(
             "condition-of-enforced-product", lhs, rhs, SLACK, rhs * noise))
     return results
@@ -270,7 +258,7 @@ def check_schur_perturbation(p, e):
     ids = ("leading-inverse-perturbation", "schur-perturbation")
     e = require_symmetric(e, "check_schur_perturbation")
     a = p.assemble()
-    norm_a = spectral_norm(a)
+    norm_a = p.norm
     norm_e = spectral_norm(e)
     if norm_e > 1e-6 * norm_a:
         reason = f"||e|| = {norm_e:.3e} above 1e-6 ||a||"
@@ -286,7 +274,7 @@ def check_schur_perturbation(p, e):
     e11, e12, e22 = e[:n, :n], e[:n, n:], e[n:, n:]
     ne11, ne12, ne22 = spectral_norm(e11), spectral_norm(e12), spectral_norm(e22)
 
-    norm_inv = spectral_norm(p.inv_a11)
+    norm_inv = p.norm_inv_a11
     norm_w = spectral_norm(p.coupling)
 
     q = norm_inv * ne11  # contraction factor of the Neumann series

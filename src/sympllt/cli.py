@@ -83,13 +83,16 @@ def _cmd_factor(args):
 
 def _cmd_diagnose(args):
     if args.infile:
-        matrix = matio.read_matrix(args.infile)
+        matrix = BlockPartition.from_matrix(matio.read_matrix(args.infile))
         family, param = "file", 0.0
     elif args.family:
         matrix, param = diagnostics.generate_family(args.family, **vars(args))
         family = args.family
     else:
         raise UsageError("diagnose needs --family or --in")
+    # after the argument checks, before the work: an unwritable --csv exits 2 at once
+    if args.csv:
+        diagnostics.write_csv(args.csv, [])
     row = diagnostics.diagnose(matrix, family, param)
     print(diagnostics.format_table([row]))
     if args.csv:
@@ -101,6 +104,8 @@ def _cmd_diagnose(args):
 
 
 def _cmd_table(args):
+    if args.csv:
+        diagnostics.write_csv(args.csv, [])  # before the work, as in diagnose
     rows = diagnostics.run_table(args.id)
     print(diagnostics.format_table(rows, title=f"table {args.id}"))
     if args.csv:
@@ -109,6 +114,8 @@ def _cmd_table(args):
 
 
 def _cmd_sweep(args):
+    diagnostics._sweep_range(args.n_from, args.n_to)
+    diagnostics.write_csv(args.csv, [])  # after the argument check, before the work
     rows = diagnostics.run_sweep(args.family, args.n_from, args.n_to, args.seed)
     diagnostics.write_csv(args.csv, rows)
     bad = [r for r in rows if not r.ok]

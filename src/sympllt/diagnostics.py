@@ -15,9 +15,9 @@ from .checks import (
     check_w2_backward,
     perturbation_experiment,
 )
-from .dense import norm_and_condition, spectral_norm
-from .errors import FactorError, SingularError, UsageError
-from .symplectic import BlockPartition, omega
+from .dense import spectral_norm
+from .errors import FactorError, InvalidEntryError, SingularError, UsageError
+from .symplectic import BlockPartition
 from .testmat import (
     diag_family,
     minij,
@@ -85,37 +85,37 @@ class DiagnosticsRow:
 def diagnose(a, family="custom", param=0.0):
     """All reported quantities for one SPD matrix of even order.
 
-    Runs both factorization routes.  A singular input or leading block, or
-    a factorization failure, records the failure message and marks the
-    fields not computed by then NaN.
+    Runs both factorization routes.  A singular input or leading block, a
+    factorization failure, or a computed quantity that overflows records
+    the failure message and marks the fields not computed by then NaN.
+    A NaN or infinite input raises InvalidEntryError.
     """
     p = a if isinstance(a, BlockPartition) else BlockPartition.from_matrix(a)
-    full = p.assemble()
-    norm_a, kappa_a = norm_and_condition(full)
-    norm_a11, kappa_a11 = norm_and_condition(p.a11)
     values = {
         "family": family,
         "param": float(param),
         "n": p.n,
-        "norm2_A": norm_a,
-        "norm2_A11": norm_a11,
-        "omega_A": spectral_norm(omega(full)),
+        "norm2_A": p.norm,
+        "norm2_A11": p.norm_a11,
     }
     error = ""
     try:
-        values["kappa2_A"] = kappa_a()
-        values["kappa2_A11"] = kappa_a11()
+        values["omega_A"] = p.omega_norm
+        values["kappa2_A"] = p.kappa
+        values["kappa2_A11"] = p.kappa_a11
         f1, f2 = p.w1, p.w2
-        values["norm2_invA11"] = spectral_norm(p.inv_a11)
-        dist = spectral_norm(p.inv_a11 - p.schur)
-        values["dist_sympl"] = dist
-        values["dist_sympl_rel"] = dist / norm_a
-        values["relerr_w1"] = spectral_norm(f1.residual(p)) / norm_a
-        values["relerr_w2"] = spectral_norm(f2.residual(p)) / norm_a
+        values["norm2_invA11"] = p.norm_inv_a11
+        values["dist_sympl"] = p.dist
+        values["dist_sympl_rel"] = p.dist / p.norm
+        values["relerr_w1"] = spectral_norm(f1.residual(p)) / p.norm
+        values["relerr_w2"] = spectral_norm(f2.residual(p)) / p.norm
         values["omega_L1"] = spectral_norm(f1.omega(p))
         values["omega_L2"] = spectral_norm(f2.omega(p))
     except (FactorError, SingularError) as exc:
         error = str(exc)
+    except InvalidEntryError:
+        # p.norm tested the input finite, so this NaN or infinity was computed
+        error = "a computed quantity overflowed to a non-finite value"
     for name in TABLE_QUANTITIES:
         values.setdefault(name, math.nan)
     return DiagnosticsRow(error=error, **values)
@@ -143,15 +143,20 @@ def run_sweep(family, n_from, n_to, seed=0):
     reproducible from its single seed.  Factorization failures mark their
     row and the sweep continues.
     """
-    if n_from > n_to or n_from < 1:
-        raise UsageError(f"run_sweep: bad range {n_from}..{n_to}")
+    sizes = _sweep_range(n_from, n_to)
     if family not in SWEEP_FAMILIES:
         raise UsageError(f"run_sweep: unsupported family {family!r}")
     rows = []
-    for n in range(n_from, n_to + 1):
+    for n in sizes:
         matrix, param = generate_family(family, n=n, seed=seed + n)
         rows.append(diagnose(matrix, family, param))
     return rows
+
+
+def _sweep_range(n_from, n_to):
+    if n_from > n_to or n_from < 1:
+        raise UsageError(f"run_sweep: bad range {n_from}..{n_to}")
+    return range(n_from, n_to + 1)
 
 
 def write_csv(path, rows):
@@ -280,10 +285,9 @@ def run_checks(scope="all", inject_w2_fault=False):
         per_fixture.extend(check_omega_factor_bounds(p))
         per_fixture.extend(check_condition_bounds(p))
         a = p.assemble()
-        norm_a = spectral_norm(a)
         for scale_index, scale in enumerate(PERTURBATION_SCALES):
             seed = 7700 + 13 * index + scale_index
-            e = symmetric_perturbation(2 * p.n, scale * norm_a, seed)
+            e = symmetric_perturbation(2 * p.n, scale * p.norm, seed)
             for kind in ("cholesky", "reverse-cholesky", "l2-form"):
                 per_fixture.append(perturbation_experiment(a, e, kind))
             per_fixture.extend(check_schur_perturbation(p, e))

@@ -28,10 +28,6 @@ class UsageError(SympLLTError):
 class FactorError(SympLLTError):
     """A factorization could not be completed."""
 
-    def __init__(self, detail):
-        super().__init__(detail)
-        self.detail = detail
-
 
 class PivotNotPositiveError(FactorError):
     """Cholesky-type elimination met a non-positive pivot.
@@ -45,17 +41,6 @@ class PivotNotPositiveError(FactorError):
         self.index = index
         self.value = value
         self.stage = stage
-
-
-class NotSymplecticError(SympLLTError):
-    """Input failed a symplecticity precondition; carries the measured residual norm."""
-
-    def __init__(self, omega_norm, tolerance):
-        super().__init__(
-            f"structure residual norm {omega_norm:.6e} exceeds tolerance {tolerance:.6e}"
-        )
-        self.omega_norm = omega_norm
-        self.tolerance = tolerance
 
 
 class ParseError(SympLLTError):

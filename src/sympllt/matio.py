@@ -55,7 +55,8 @@ def read_matrix(path):
     if rows < 1 or cols < 1:
         raise ParseError(k + 1, "rows and cols must be positive")
 
-    out = np.empty((rows, cols))
+    # grown row by row: a header claiming more than the file holds allocates nothing
+    out = []
     for i in range(rows):
         lineno = k + 2 + i
         if k + 1 + i >= len(lines):
@@ -64,7 +65,7 @@ def read_matrix(path):
         if len(parts) != cols:
             raise ParseError(lineno, f"expected {cols} values, got {len(parts)}")
         try:
-            out[i] = [float(tok) for tok in parts]
+            out.append(np.array([float(tok) for tok in parts]))
             finite = np.isfinite(out[i]).all()
         except ValueError:
             finite = False
@@ -73,7 +74,7 @@ def read_matrix(path):
     for extra in range(k + 1 + rows, len(lines)):
         if lines[extra].strip():
             raise ParseError(extra + 1, f"extra data after the {rows} declared rows")
-    return out
+    return np.array(out)
 
 
 def _bad_token_error(lineno, parts):

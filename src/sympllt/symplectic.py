@@ -18,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dense import EPS, _require_finite, as_matrix, matmul, spectral_norm
-from .errors import DimensionError, DomainError, NotSymplecticError, UsageError
+from .dense import EPS, _require_finite, as_matrix, matmul, norm_and_condition, spectral_norm
+from .errors import DimensionError, DomainError, UsageError
 from .factor import (
     cholesky_lower,
     forward_substitute,
@@ -39,8 +39,10 @@ def _read_only(a):
 class BlockPartition:
     """A symmetric 2n x 2n matrix stored as blocks (a21 is implicitly a12^T).
 
-    Factors and intermediates are computed on first use and cached as
-    read-only arrays; the blocks must not change once one has been read.
+    Factors, intermediates and the per-matrix scalars are computed on first
+    use and cached, arrays as read-only; the blocks must not change once one
+    has been read.  ``kappa`` and ``kappa_a11`` raise SingularError on every
+    read of a singular matrix: a raised exception is not cached.
     """
 
     n: int
@@ -103,7 +105,9 @@ class BlockPartition:
 
     @cached_property
     def schur(self):
-        return _read_only(_symmetrize(self.a22 - self._l21_outer))
+        """a22 - l21 l21^T, symmetrized by averaging after the subtraction."""
+        s = self.a22 - self._l21_outer
+        return _read_only(0.5 * (s + s.T))
 
     @cached_property
     def w1(self):
@@ -125,6 +129,50 @@ class BlockPartition:
         l11, l21 = self.shared
         return _read_only(upper_substitute(np.ascontiguousarray(l11.T),
                                            np.ascontiguousarray(l21.T)))
+
+    @cached_property
+    def drift(self):
+        """inv(a11) - schur: in exact arithmetic, the (2,2) block of L L^T - a for w1."""
+        return _read_only(self.inv_a11 - self.schur)
+
+    @cached_property
+    def _spectrum(self):
+        # ||a|| and the deferred kappa(a) from one eigensolve
+        return norm_and_condition(self.assemble())
+
+    @cached_property
+    def _spectrum_a11(self):
+        return norm_and_condition(self.a11)
+
+    @cached_property
+    def norm(self):
+        return self._spectrum[0]
+
+    @cached_property
+    def kappa(self):
+        return self._spectrum[1]()
+
+    @cached_property
+    def norm_a11(self):
+        return self._spectrum_a11[0]
+
+    @cached_property
+    def kappa_a11(self):
+        return self._spectrum_a11[1]()
+
+    @cached_property
+    def omega_norm(self):
+        """||omega(a)||, the loss of structure of the matrix itself."""
+        return loss_of_symplecticity(self.assemble())
+
+    @cached_property
+    def norm_inv_a11(self):
+        return spectral_norm(self.inv_a11)
+
+    @cached_property
+    def dist(self):
+        """||inv(a11) - schur||, the distance that governs the w1 error."""
+        return spectral_norm(self.drift)
 
 
 @dataclass(frozen=True)
@@ -170,16 +218,19 @@ class BlockFactor:
     def omega(self, p):
         """omega(L) = L^T J L - J, bitwise ``omega(self.assemble())``.
 
-        J L = [l21 l22; -l11 0], so L^T J L = [o11, l11^T l22; l22^T (-l11), 0]
-        with o11 = l11^T l21 continued with l21^T (-l11).  As in residual,
-        each block sums the full product's nonzero terms in the same order.
+        J L = [l21 l22; -l11 0], so L^T J L = [o11, o12; l22^T (-l11), 0]
+        with o11 = l11^T l21 continued with l21^T (-l11) and o12 = l11^T l22.
+        As in residual, each block sums the full product's nonzero terms in
+        the same order.  l22^T (-l11) sums o12^T's products negated, and a
+        zero sum is +0.0 in both, so it is bitwise 0.0 - o12^T.
         """
         n = self.n
         o11 = p.omega11 if self._shares_blocks(p) else _omega11(self.l11, self.l21)
+        o12 = matmul(np.ascontiguousarray(self.l11.T), self.l22)
         out = np.zeros((2 * n, 2 * n))
         out[:n, :n] = o11
-        out[:n, n:] = matmul(np.ascontiguousarray(self.l11.T), self.l22)
-        out[n:, :n] = matmul(np.ascontiguousarray(self.l22.T), -self.l11)
+        out[:n, n:] = o12
+        out[n:, :n] = 0.0 - o12.T
         return out - structure_matrix(n)
 
     def _shares_blocks(self, p):
@@ -254,15 +305,6 @@ def assemble_omega_blocks(o11, o12, o22):
     return out
 
 
-def schur_complement(p, l21):
-    """a22 - l21 l21^T, symmetrized by averaging after the subtraction."""
-    return _symmetrize(p.a22 - _outer(l21, l21))
-
-
-def _symmetrize(s):
-    return 0.5 * (s + s.T)
-
-
 def algorithm_w1(p):
     """Structure-enforcing factorization: l22 is the inverse transpose of l11.
 
@@ -287,34 +329,14 @@ def algorithm_w2(p):
 
 
 def distance_to_symplecticity(f, p):
-    """||l22 l22^T - (a22 - l21 l21^T)|| computed from the w1 factor.
+    """``p.dist`` = ||inv(a11) - schur(a11)||, which governs the w1 error.
 
-    Equals ||inv(a11) - schur(a11)|| up to rounding, the quantity that
-    governs the w1 factorization error.
+    ``f`` must be a w1 factor holding p's own l11 and l21: p.w1 or algorithm_w1(p).
     """
-    if f.algorithm != "w1":
-        raise UsageError(
-            f"distance_to_symplecticity needs a w1 factor, got {f.algorithm!r}"
-        )
-    inv_a11 = _outer(f.l22, f.l22)
-    s = schur_complement(p, f.l21)
-    return spectral_norm(inv_a11 - s)
-
-
-def symplectic_inverse(a, tol=1e-8):
-    """Inverse of a structure-preserving matrix, via J^T a^T J.
-
-    Requires loss_of_symplecticity(a) <= tol * ||a||^2; assembled by exact
-    block moves, so a symmetric input yields an exactly symmetric result.
-    """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1] or a.shape[0] % 2 != 0:
-        raise DimensionError("symplectic_inverse: matrix must be square of even order")
-    loss = loss_of_symplecticity(a)
-    bound = tol * spectral_norm(a) ** 2
-    if loss > bound:
-        raise NotSymplecticError(loss, bound)
-    return _structure_inverse(a)
+    if f.algorithm != "w1" or not f._shares_blocks(p):
+        raise UsageError("distance_to_symplecticity needs a w1 factor holding "
+                         f"p's own l11 and l21, got a {f.algorithm!r} factor")
+    return p.dist
 
 
 def _structure_inverse(a):
@@ -327,35 +349,6 @@ def _structure_inverse(a):
     out[n:, :n] = -at[:n, n:]
     out[n:, n:] = at[:n, :n]
     return out
-
-
-@dataclass(frozen=True)
-class FactorStructureReport:
-    """Residuals of the two conditions that make a block factor symplectic."""
-
-    ok: bool
-    inverse_residual: float  # ||l11^T l22 - I||
-    symmetry_residual: float  # ||l21^T l11 - l11^T l21||
-
-    def __bool__(self):
-        return self.ok
-
-
-def is_symplectic_block_factor(f, tol):
-    """Check the two block conditions for symplecticity of [l11 0; l21 l22].
-
-    The factor is symplectic iff l22 = l11^-T and l21^T l11 is symmetric;
-    both are tested as residual norms against ``tol``.
-    """
-    eye = np.eye(f.n)
-    r_inv = spectral_norm(matmul(np.ascontiguousarray(f.l11.T), f.l22) - eye)
-    cross = matmul(np.ascontiguousarray(f.l21.T), f.l11)
-    r_sym = spectral_norm(cross - cross.T)
-    return FactorStructureReport(
-        ok=(r_inv <= tol and r_sym <= tol),
-        inverse_residual=r_inv,
-        symmetry_residual=r_sym,
-    )
 
 
 def gamma(n, eps=EPS):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sympllt import matio
+from sympllt import diagnostics, matio
 from sympllt.cli import main
 from sympllt.testmat import minij, hyperbolic_spd
 
@@ -87,6 +87,14 @@ def test_non_finite_generated_input_is_usage_error(capsys):
     assert err.startswith("error:") and "non-finite" in err
 
 
+def test_overflowing_intermediate_is_a_numerical_failure(capsys):
+    # the generated matrix is finite; omega(a) overflows
+    assert main(["diagnose", "--family", "hyperbolic", "--theta", "200"]) == 3
+    captured = capsys.readouterr()
+    assert "hyperbolic(200)" in captured.out
+    assert captured.err.startswith("numerical failure: a computed quantity overflowed")
+
+
 def test_diagnose_singular_input_writes_failed_row(tmp_path, capsys):
     src = tmp_path / "singular.mat"
     matio.write_matrix(src, np.diag([1.0, 0.0, 1.0, 1.0]))
@@ -148,11 +156,13 @@ def test_usage_error_exit_code():
     ["gen", "--family", "hyperbolic-inverse", "--theta", "800"],
     ["gen", "--family", "pascal", "--n", "20"],
     ["gen", "--family", "random", "--n", "-3"],
+    ["sweep", "--from", "5", "--to", "1"],
+    ["sweep", "--from", "0", "--to", "3"],
 ])
 def test_out_of_range_family_argument_is_usage_error(tmp_path, capsys, args):
+    # bad arguments are found before the output is opened: no file is made
     out = tmp_path / "x.mat"
-    if args[0] == "gen":
-        args = [*args, "--out", str(out)]
+    args = [*args, "--out" if args[0] == "gen" else "--csv", str(out)]
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
@@ -166,19 +176,35 @@ def _non_ascii_file(tmp_path):
     return path
 
 
+def _oversized_file(tmp_path, header):
+    path = tmp_path / "oversized.mat"
+    path.write_text(f"{header}\n1 2\n")
+    return path
+
+
 @pytest.mark.parametrize("make_args", [
     lambda tmp: ["diagnose", "--in", str(tmp / "missing.mat")],
     lambda tmp: ["diagnose", "--in", str(tmp)],
     lambda tmp: ["diagnose", "--in", str(_non_ascii_file(tmp))],
+    lambda tmp: ["diagnose", "--in", str(_oversized_file(tmp, "1000000000000 2"))],
+    lambda tmp: ["diagnose", "--in", str(_oversized_file(tmp, "2 1000000000000"))],
     lambda tmp: ["factor", "--alg", "w2", "--in", str(tmp / "missing.mat"),
                  "--out", str(tmp / "l.mat")],
     lambda tmp: ["gen", "--family", "minij", "--out", str(tmp / "no-dir" / "a.mat")],
+    lambda tmp: ["diagnose", "--family", "minij", "--csv", str(tmp / "no-dir" / "d.csv")],
     lambda tmp: ["table", "--id", "3", "--csv", str(tmp / "no-dir" / "t.csv")],
     lambda tmp: ["sweep", "--from", "1", "--to", "2", "--csv", str(tmp / "no-dir" / "s.csv")],
-], ids=["diagnose-missing", "diagnose-directory", "diagnose-non-ascii", "factor-missing",
-        "gen-out-dir-missing", "table-csv-dir-missing", "sweep-csv-dir-missing"])
-def test_file_errors_are_usage_errors(tmp_path, capsys, make_args):
+], ids=["diagnose-missing", "diagnose-directory", "diagnose-non-ascii",
+        "diagnose-oversized-rows", "diagnose-oversized-cols", "factor-missing",
+        "gen-out-dir-missing", "diagnose-csv-dir-missing", "table-csv-dir-missing",
+        "sweep-csv-dir-missing"])
+def test_file_errors_are_usage_errors(tmp_path, capsys, monkeypatch, make_args):
+    # a file that cannot be read or written ends the run before any work
+    calls = []
+    real = diagnostics.diagnose
+    monkeypatch.setattr(diagnostics, "diagnose", lambda *a: calls.append(a) or real(*a))
     assert main(make_args(tmp_path)) == 2
+    assert calls == []
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err and "numerical failure" not in err

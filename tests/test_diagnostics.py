@@ -7,12 +7,13 @@ import pytest
 from sympllt import InvalidEntryError, UsageError, diagnose, run_checks, run_sweep, run_table
 from sympllt.diagnostics import (
     CSV_COLUMNS,
+    TABLE_QUANTITIES,
     format_table,
     read_csv,
     standard_fixtures,
     write_csv,
 )
-from sympllt.testmat import pascal_symplectic, hyperbolic_spd
+from sympllt.testmat import pascal_symplectic, random_pdp, hyperbolic_spd
 
 
 def rows_equal_bitwise(a, b):
@@ -150,6 +151,24 @@ def test_diagnose_marks_singular_input():
         assert math.isnan(getattr(row, name))
 
 
+def test_diagnose_marks_an_overflowing_intermediate():
+    # the input is finite; omega(a) and what follows it overflow
+    row = diagnose(hyperbolic_spd(200.0), "hyperbolic", 200.0)
+    assert row.error == "a computed quantity overflowed to a non-finite value"
+    assert math.isfinite(row.norm2_A) and math.isfinite(row.norm2_A11)
+    for name in TABLE_QUANTITIES:
+        if name not in ("norm2_A", "norm2_A11"):
+            assert math.isnan(getattr(row, name)), name
+
+
+def test_diagnose_rejects_a_non_finite_partition():
+    p = random_pdp(2, 1)
+    a22 = p.a22.copy()
+    a22[0, 0] = np.inf
+    with pytest.raises(InvalidEntryError, match="input contains NaN or infinite"):
+        diagnose(type(p)(n=p.n, a11=p.a11, a12=p.a12, a22=a22))
+
+
 def test_sweep_continues_past_singular_input(monkeypatch):
     import sympllt.diagnostics as diag
 
@@ -159,11 +178,13 @@ def test_sweep_continues_past_singular_input(monkeypatch):
         p = real(n, seed)
         if n == 2:
             return type(p).from_matrix(np.diag([1.0, 0.0, 1.0, 1.0]))
+        if n == 3:  # an intermediate overflows
+            return type(p).from_matrix(hyperbolic_spd(200.0))
         return p
 
     monkeypatch.setattr(diag, "random_pdp", singular)
-    rows = diag.run_sweep("random", 1, 3, seed=2)
-    assert [r.ok for r in rows] == [True, False, True]
+    rows = diag.run_sweep("random", 1, 4, seed=2)
+    assert [r.ok for r in rows] == [True, False, False, True]
 
 
 def test_csv_keeps_the_failure_message(tmp_path):

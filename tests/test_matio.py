@@ -86,6 +86,10 @@ def test_scientific_notation_accepted(tmp_path):
         ("1 2\n1 inf zebra\n", 2),
         ("2 2\n1 0\n0 1\n1 1\n", 4),
         ("# c\n1 1\n5\n\n7\n", 5),
+        # headers that claim more rows or columns than the file holds
+        ("1000000000000 2\n1 2\n", 3),
+        ("1 1000000000000\n1 2\n", 2),
+        ("100000000 100000000\n1 2\n", 2),
     ],
 )
 def test_malformed_inputs_report_line(tmp_path, content, line):

@@ -1,9 +1,10 @@
-"""BlockPartition caches its factors and intermediates: the gates.
+"""BlockPartition caches its factors, intermediates and scalars: the gates.
 
 Every check and diagnostic of one partition shares one factorization.
 These tests pin that sharing changes no bit of any result, that each
-algorithm runs once per partition, that the cached arrays cannot be
-written, and that a failed diagnostics row keeps its NaNs.
+algorithm runs once per partition and each per-matrix scalar is computed
+once, that the cached arrays cannot be written, and that a failed
+diagnostics row keeps its NaNs.
 """
 
 import math
@@ -11,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from sympllt import symplectic
+from sympllt import UsageError, symplectic
 from sympllt.checks import (
     check_condition_bounds,
     check_omega_factor_bounds,
@@ -19,10 +20,11 @@ from sympllt.checks import (
     check_w1_error_bound,
     check_w2_backward,
 )
-from sympllt.dense import spectral_norm
-from sympllt.diagnostics import diagnose, standard_fixtures
+from sympllt.dense import condition_number, spectral_norm
+from sympllt.diagnostics import diagnose, run_checks, standard_fixtures
 from sympllt.factor import spd_inverse, spd_solve
-from sympllt.symplectic import BlockPartition, algorithm_w1, algorithm_w2
+from sympllt.symplectic import (BlockPartition, algorithm_w1, algorithm_w2,
+                                distance_to_symplecticity, omega)
 from sympllt.testmat import random_pdp, symmetric_perturbation
 
 
@@ -49,6 +51,22 @@ def partition_checks(p):
     ]
 
 
+def frozen_scalars(p):
+    """The per-matrix scalars by the formulas each caller once used inline."""
+    a = p.assemble()
+    drift = p.inv_a11 - p.schur
+    return {
+        "norm": spectral_norm(a),
+        "kappa": condition_number(a),
+        "norm_a11": spectral_norm(p.a11),
+        "kappa_a11": condition_number(p.a11),
+        "omega_norm": spectral_norm(omega(a)),
+        "norm_inv_a11": spectral_norm(p.inv_a11),
+        "drift": drift,
+        "dist": spectral_norm(drift),
+    }
+
+
 CASES = [(name, p) for name, p in standard_fixtures()] + [
     (f"random_pdp({n}, {n})", random_pdp(n, n)) for n in [*range(1, 13), 64, 65, 100]
 ]
@@ -69,6 +87,12 @@ def test_shared_partition_matches_fresh_partitions(name, p):
 
     assert bits(shared.inv_a11) == bits(spd_inverse(shared.a11))
     assert bits(shared.coupling) == bits(spd_solve(shared.a11, shared.a12))
+
+    fresh = frozen_scalars(BlockPartition.from_matrix(p.assemble()))
+    expected = {name: bits(value) for name, value in fresh.items()}
+    unread = BlockPartition.from_matrix(p.assemble())
+    for q in (unread, shared):
+        assert {k: bits(getattr(q, k)) for k in expected} == expected
 
 
 COUNTED = [c for c in CASES if c[0] in ("minij", "pascal/6", "random_pdp(100, 100)")]
@@ -94,6 +118,34 @@ def test_each_algorithm_runs_once_per_partition(monkeypatch, name, p):
         assert [q for q in calls[tag] if q is p] == [p], tag
 
 
+def test_run_checks_computes_each_scalar_once_per_fixture(monkeypatch):
+    calls = {"eigvalsh": 0, "omega": 0}
+
+    def counted(tag, fn):
+        def wrapper(*args):
+            calls[tag] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(symplectic, "omega", counted("omega", symplectic.omega))
+    run_checks()
+    # at most 862 eigensolves (1117 with every caller forming its own
+    # scalars) and omega(a) once per fixture (24 of them)
+    assert calls["eigvalsh"] <= 862
+    assert calls["omega"] == len(standard_fixtures())
+
+
+def test_distance_needs_a_w1_factor_of_the_same_partition():
+    p = random_pdp(5, 1)
+    assert distance_to_symplecticity(algorithm_w1(p), p) == p.dist
+    other = BlockPartition.from_matrix(p.assemble())
+    with pytest.raises(UsageError):
+        distance_to_symplecticity(algorithm_w1(other), p)
+    with pytest.raises(UsageError):
+        distance_to_symplecticity(p.w2, p)
+
+
 def test_cached_arrays_are_read_only():
     p = random_pdp(4, 1)
     expected = algorithm_w2(BlockPartition.from_matrix(p.assemble()))
@@ -108,6 +160,8 @@ def test_cached_arrays_are_read_only():
         p.schur[0, 0] = 2.0
     with pytest.raises(ValueError):
         p.inv_a11[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        p.drift[0, 0] = 2.0
     f2 = algorithm_w2(p)
     assert f2.l11 is f1.l11 and f2.l21 is f1.l21
     for block in ("l11", "l21", "l22"):

@@ -9,24 +9,20 @@ from sympllt import (
     DimensionError,
     DomainError,
     InvalidEntryError,
-    NotSymplecticError,
     PivotNotPositiveError,
     UsageError,
     algorithm_w1,
     algorithm_w2,
     distance_to_symplecticity,
     gamma,
-    is_symplectic_block_factor,
     matmul,
     omega,
     omega_blocks,
-    schur_complement,
     spectral_norm,
     structure_matrix,
-    symplectic_inverse,
 )
 from sympllt.dense import EPS
-from sympllt.symplectic import assemble_omega_blocks
+from sympllt.symplectic import _structure_inverse, assemble_omega_blocks
 from sympllt.testmat import minij, pascal_symplectic, random_pdp, hyperbolic_spd
 
 SQ2 = math.sqrt(2.0)
@@ -170,15 +166,8 @@ def test_factorizations_propagate_pivot_errors():
 
 def test_schur_complement_minij():
     p = minij_partition()
-    l21 = np.ones((2, 2))
-    assert np.array_equal(
-        schur_complement(p, l21), np.array([[1.0, 1.0], [1.0, 2.0]])
-    )
-
-
-def test_schur_complement_zero_l21():
-    p = minij_partition()
-    assert np.array_equal(schur_complement(p, np.zeros((2, 2))), p.a22)
+    assert np.array_equal(p.shared[1], np.ones((2, 2)))
+    assert np.array_equal(p.schur, np.array([[1.0, 1.0], [1.0, 2.0]]))
 
 
 def test_schur_pascal6_distance_scale():
@@ -211,49 +200,55 @@ def test_distance_requires_w1_factor():
         distance_to_symplecticity(algorithm_w2(p), p)
 
 
+# J^T a^T J is the inverse of a matrix that preserves J
+
+
 def test_symplectic_inverse_identity_and_j():
-    assert np.array_equal(symplectic_inverse(np.eye(4), 0.0), np.eye(4))
+    assert np.array_equal(_structure_inverse(np.eye(4)), np.eye(4))
     j = structure_matrix(2)
-    inv = symplectic_inverse(j, 1e-14)
+    inv = _structure_inverse(j)
     assert np.array_equal(inv, -j)
     assert np.array_equal(matmul(j, inv), np.eye(4))
 
 
 def test_symplectic_inverse_pascal_product():
     a = pascal_symplectic(6).assemble()
-    inv = symplectic_inverse(a, 1e-10)
+    inv = _structure_inverse(a)
     assert np.max(np.abs(matmul(a, inv) - np.eye(12))) <= 1e-10
 
 
 def test_symplectic_inverse_symmetric_result_bitwise():
-    a = hyperbolic_spd(3.0)
-    inv = symplectic_inverse(a, 1e-8)
+    inv = _structure_inverse(hyperbolic_spd(3.0))
     assert np.array_equal(inv, inv.T)
 
 
-def test_symplectic_inverse_rejects_structure_loss():
-    with pytest.raises(NotSymplecticError) as err:
-        symplectic_inverse(minij(), 1e-8)
-    assert err.value.omega_norm > 0
+# L = [l11 0; l21 l22] preserves J iff l11^T l22 = I and l21^T l11 is
+# symmetric: the (1,2) and (1,1) blocks of omega(L) are zero
+
+
+def factor_structure_residuals(f, p):
+    """(||l11^T l22 - I||, ||l11^T l21 - l21^T l11||) from omega(L)."""
+    n = f.n
+    w = f.omega(p)
+    return spectral_norm(w[:n, n:]), spectral_norm(w[:n, :n])
 
 
 def test_is_symplectic_block_factor_identity():
-    f = algorithm_w1(BlockPartition.from_matrix(np.eye(4)))
-    assert is_symplectic_block_factor(f, 0.0).ok
+    p = BlockPartition.from_matrix(np.eye(4))
+    assert not p.w1.omega(p).any()
 
 
 def test_is_symplectic_block_factor_minij_fails():
     p = minij_partition()
-    rep = is_symplectic_block_factor(algorithm_w1(p), 1e-8)
-    assert not rep.ok
-    # the symmetry residual is exactly the nonzero block of omega(L1)
-    assert rep.symmetry_residual == pytest.approx(1.0, rel=1e-12)
-    assert rep.inverse_residual == 0.0
+    inverse, symmetry = factor_structure_residuals(algorithm_w1(p), p)
+    assert symmetry == pytest.approx(1.0, rel=1e-12)
+    assert inverse == 0.0
 
 
 def test_is_symplectic_block_factor_pascal_w2():
-    rep = is_symplectic_block_factor(algorithm_w2(pascal_symplectic(6)), 1e-8)
-    assert rep.ok
+    p = pascal_symplectic(6)
+    inverse, symmetry = factor_structure_residuals(algorithm_w2(p), p)
+    assert inverse <= 1e-8 and symmetry <= 1e-8
 
 
 def test_gamma_values():
