@@ -5,6 +5,7 @@ from .checks import (
     BoundCheckResult,
     check_condition_bounds,
     check_omega_factor_bounds,
+    check_perturbation_bounds,
     check_schur_perturbation,
     check_w1_error_bound,
     check_w2_backward,

@@ -17,16 +17,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dense import (EPS, condition_number, frobenius_norm, matmul, norm_and_condition,
-                    spectral_norm)
+from .dense import EPS, condition_number, frobenius_norm, matmul, spectral_norm
 from .errors import FactorError
-from .factor import (
-    cholesky_lower,
-    require_symmetric,
-    reverse_cholesky_upper,
-    spd_inverse,
-    upper_substitute,
-)
+from .factor import require_symmetric, upper_substitute
 from .symplectic import BlockPartition, gamma
 
 SLACK = 1e-6
@@ -196,7 +189,31 @@ def check_condition_bounds(p):
     return results
 
 
-_PERTURBATION_KINDS = ("cholesky", "reverse-cholesky", "l2-form")
+# the factor each perturbation kind compares, read from a partition's cache
+_PERTURBATION_FACTORS = {
+    "cholesky": lambda q: q.cholesky,
+    "reverse-cholesky": lambda q: q.reverse_cholesky,
+    "l2-form": lambda q: q.w2.assemble(),
+}
+
+
+def check_perturbation_bounds(p, e):
+    """Every perturbation bound of p under the symmetric perturbation e:
+    the three ``perturbation_experiment`` kinds, then the two
+    ``check_schur_perturbation`` bounds.
+
+    All five share one ||e|| and one partition of a + e, so a + e is
+    factored once for each factor the bounds compare.
+    """
+    e = require_symmetric(e, "check_perturbation_bounds")
+    shared = _perturbed(p, e)
+    results = [_factor_perturbation(*shared, kind) for kind in _PERTURBATION_FACTORS]
+    return results + _schur_perturbation(*shared)
+
+
+def _perturbed(p, e):
+    # what every perturbation bound of (p, e) reads: p, e, ||e|| and a + e
+    return p, e, spectral_norm(e), BlockPartition.from_matrix(p.assemble() + e)
 
 
 def perturbation_experiment(a, e, kind):
@@ -206,42 +223,39 @@ def perturbation_experiment(a, e, kind):
                               * ||E||_F / ||a||_2,
 
     where L is the factor of the selected kind and dL = L(a+E) - L(a).
+    ``a`` is read as a BlockPartition, its (2,1) block as the (1,2) block
+    transposed.
     """
-    if kind not in _PERTURBATION_KINDS:
+    if kind not in _PERTURBATION_FACTORS:
         raise ValueError(f"unknown perturbation kind {kind!r}")
-    bound_id = f"{kind}-perturbation"
     a = require_symmetric(a, "perturbation_experiment")
     e = require_symmetric(e, "perturbation_experiment")
+    return _factor_perturbation(*_perturbed(BlockPartition.from_matrix(a), e), kind)
+
+
+def _factor_perturbation(p, e, norm_e, pe, kind):
+    bound_id = f"{kind}-perturbation"
     try:
-        norm_inv_a = spectral_norm(spd_inverse(a))
+        norm_inv_a = p.norm_inv
     except FactorError as exc:
         return BoundCheckResult.skip(bound_id, f"not positive definite: {exc}")
-    damp = norm_inv_a * spectral_norm(e)
+    damp = norm_inv_a * norm_e
     if damp >= 1.0:
         return BoundCheckResult.skip(
             bound_id, f"||inv(a)|| ||e|| = {damp:.3e} is not below 1")
+    factor = _PERTURBATION_FACTORS[kind]
     try:
-        before = _perturbation_factor(a, kind)
-        after = _perturbation_factor(a + e, kind)
+        before = factor(p)
+        after = factor(pe)
     except FactorError as exc:
         return BoundCheckResult.skip(bound_id, f"not positive definite: {exc}")
     delta = after - before
     norm_l = spectral_norm(before)
     lhs = frobenius_norm(delta) / norm_l
-    norm_a, kappa = norm_and_condition(a)
-    kappa_a = kappa()
-    rhs = (kappa_a / (1.0 - damp)) * frobenius_norm(e) / norm_a / math.sqrt(2.0)
-    n = a.shape[0] // 2
-    floor = 100.0 * n * EPS * kappa_a * frobenius_norm(before) / norm_l
+    kappa_a = p.kappa
+    rhs = (kappa_a / (1.0 - damp)) * frobenius_norm(e) / p.norm / math.sqrt(2.0)
+    floor = 100.0 * p.n * EPS * kappa_a * frobenius_norm(before) / norm_l
     return BoundCheckResult.compare(bound_id, lhs, rhs, SLACK, floor)
-
-
-def _perturbation_factor(a, kind):
-    if kind == "cholesky":
-        return cholesky_lower(a)
-    if kind == "reverse-cholesky":
-        return reverse_cholesky_upper(a)
-    return BlockPartition.from_matrix(a).w2.assemble()
 
 
 def check_schur_perturbation(p, e):
@@ -255,22 +269,23 @@ def check_schur_perturbation(p, e):
     second-order terms so the checks stay rigorous when e is not tiny
     relative to the leading block's smallest eigenvalue.
     """
-    ids = ("leading-inverse-perturbation", "schur-perturbation")
     e = require_symmetric(e, "check_schur_perturbation")
-    a = p.assemble()
+    return _schur_perturbation(*_perturbed(p, e))
+
+
+def _schur_perturbation(p, e, norm_e, pe):
+    ids = ("leading-inverse-perturbation", "schur-perturbation")
     norm_a = p.norm
-    norm_e = spectral_norm(e)
     if norm_e > 1e-6 * norm_a:
         reason = f"||e|| = {norm_e:.3e} above 1e-6 ||a||"
         return [BoundCheckResult.skip(i, reason) for i in ids]
     try:
-        cholesky_lower(a + e)
+        pe.cholesky
     except FactorError as exc:
         reason = f"perturbed matrix not positive definite: {exc}"
         return [BoundCheckResult.skip(i, reason) for i in ids]
 
     n = p.n
-    pe = BlockPartition.from_matrix(a + e)
     e11, e12, e22 = e[:n, :n], e[:n, n:], e[n:, n:]
     ne11, ne12, ne22 = spectral_norm(e11), spectral_norm(e12), spectral_norm(e22)
 

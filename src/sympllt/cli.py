@@ -8,6 +8,8 @@ configuration is flags; no environment variables.
 import argparse
 import sys
 
+import numpy as np
+
 from . import diagnostics, matio
 from .errors import (DimensionError, DomainError, FactorError, InvalidEntryError,
                      ParseError, SingularError, SympLLTError, UsageError)
@@ -145,7 +147,10 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # an overflow is reported by the exit code and the error line, so
+        # numpy need not warn of it (reading an --in file, for instance)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](args)
     except (UsageError, ParseError, DimensionError, InvalidEntryError, DomainError,
             OSError) as exc:
         # OSError: an --in file that cannot be read or an --out/--csv path

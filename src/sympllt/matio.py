@@ -30,7 +30,8 @@ def read_matrix(path):
 
     Raises ParseError with the 1-based line number of the first problem:
     a byte that is not ASCII, a missing or malformed header, a row with
-    the wrong number of values, a bad or non-finite float literal, missing
+    the wrong number of values, a bad or non-finite float literal (Python's
+    '_' digit separators are not part of the format), missing
     rows, or a non-blank line after the last data row (extra rows are
     rejected, not ignored).
     """
@@ -49,6 +50,8 @@ def read_matrix(path):
     if len(header) != 2:
         raise ParseError(k + 1, f"header must be 'rows cols', got {lines[k]!r}")
     try:
+        if "_" in lines[k]:
+            raise ValueError  # int() and float() take Python's digit separators
         rows, cols = int(header[0]), int(header[1])
     except ValueError:
         raise ParseError(k + 1, f"non-integer header fields in {lines[k]!r}") from None
@@ -61,10 +64,13 @@ def read_matrix(path):
         lineno = k + 2 + i
         if k + 1 + i >= len(lines):
             raise ParseError(lineno, f"expected {rows} data rows, file ended early")
-        parts = lines[k + 1 + i].split()
+        line = lines[k + 1 + i]
+        parts = line.split()
         if len(parts) != cols:
             raise ParseError(lineno, f"expected {cols} values, got {len(parts)}")
         try:
+            if "_" in line:
+                raise ValueError
             out.append(np.array([float(tok) for tok in parts]))
             finite = np.isfinite(out[i]).all()
         except ValueError:
@@ -81,6 +87,8 @@ def _bad_token_error(lineno, parts):
     """ParseError naming the first token of a row that is not a finite float."""
     for tok in parts:
         try:
+            if "_" in tok:
+                raise ValueError
             val = float(tok)
         except ValueError:
             return ParseError(lineno, f"bad float literal {tok!r}")

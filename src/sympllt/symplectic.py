@@ -41,8 +41,8 @@ class BlockPartition:
 
     Factors, intermediates and the per-matrix scalars are computed on first
     use and cached, arrays as read-only; the blocks must not change once one
-    has been read.  ``kappa`` and ``kappa_a11`` raise SingularError on every
-    read of a singular matrix: a raised exception is not cached.
+    has been read.  ``kappa`` and ``kappa_a11`` raise SingularError, and the
+    factors FactorError, on every read: a raised exception is not cached.
     """
 
     n: int
@@ -134,6 +134,22 @@ class BlockPartition:
     def drift(self):
         """inv(a11) - schur: in exact arithmetic, the (2,2) block of L L^T - a for w1."""
         return _read_only(self.inv_a11 - self.schur)
+
+    @cached_property
+    def cholesky(self):
+        """The whole-matrix Cholesky factor, as ``cholesky_lower(self.assemble())``."""
+        return _read_only(cholesky_lower(self.assemble()))
+
+    @cached_property
+    def reverse_cholesky(self):
+        """The whole-matrix Reverse Cholesky factor, as ``reverse_cholesky_upper``."""
+        return _read_only(reverse_cholesky_upper(self.assemble()))
+
+    @cached_property
+    def norm_inv(self):
+        """||inv(a)|| with inv(a) = L^-T L^-1 from ``cholesky``; bitwise spd_inverse(a)."""
+        linv = lower_triangular_inverse(self.cholesky)
+        return spectral_norm(matmul(np.ascontiguousarray(linv.T), linv))
 
     @cached_property
     def _spectrum(self):

@@ -234,15 +234,21 @@ def pdp_assemble(g, h):
     return BlockPartition(n=g.shape[0], a11=g.copy(), a12=a12, a22=a22)
 
 
+# the largest n random_pdp makes (order 2000): generation time grows as n^3
+# and memory, with the normals held as Python floats, as n^2
+RANDOM_MAX_N = 1000
+
+
 def random_pdp(n, seed):
     """Random structure-preserving SPD family from the fixed generator.
 
     r is n x n standard normal, h = (r + r^T)/2, g = r r^T plus a relative
     ridge of 1e-12 * trace / n to guard against a singular draw.  Same
-    (n, seed) always reproduces the same bytes.
+    (n, seed) always reproduces the same bytes.  n is limited to
+    1..RANDOM_MAX_N, checked before anything is allocated.
     """
-    if n < 1:
-        raise DomainError("random_pdp: n must be >= 1")
+    if not 1 <= n <= RANDOM_MAX_N:
+        raise DomainError(f"random_pdp: n must be in 1..{RANDOM_MAX_N}, got {n}")
     r = standard_normal_matrix(n, seed)
     h = 0.5 * (r + r.T)
     g = matmul(r, np.ascontiguousarray(r.T))

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import sympllt
 from sympllt import diagnostics, matio
 from sympllt.cli import main
 from sympllt.testmat import minij, hyperbolic_spd
@@ -95,6 +100,31 @@ def test_overflowing_intermediate_is_a_numerical_failure(capsys):
     assert captured.err.startswith("numerical failure: a computed quantity overflowed")
 
 
+@pytest.mark.parametrize("command,in_file,expected", [
+    (["diagnose", "--family", "hyperbolic", "--theta", "200"], False,
+     "a computed quantity overflowed to a non-finite value"),
+    (["diagnose", "--in"], True, "a computed quantity overflowed to a non-finite value"),
+    (["factor", "--alg", "w2", "--out", "l.mat", "--in"], True,
+     "pivot 2 is not positive"),
+], ids=["diagnose-family", "diagnose-in", "factor-in"])
+def test_overflowing_input_prints_no_numpy_warning(tmp_path, command, in_file, expected):
+    # in a child process, so numpy's warnings would reach its standard error
+    if in_file:
+        matio.write_matrix(tmp_path / "a.mat", hyperbolic_spd(200.0))
+        command = [*command, "a.mat"]
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(sympllt.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "sympllt.cli", *command],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    assert proc.returncode == 3
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr.startswith(f"numerical failure: {expected}")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_diagnose_singular_input_writes_failed_row(tmp_path, capsys):
     src = tmp_path / "singular.mat"
     matio.write_matrix(src, np.diag([1.0, 0.0, 1.0, 1.0]))
@@ -158,6 +188,8 @@ def test_usage_error_exit_code():
     ["gen", "--family", "random", "--n", "-3"],
     ["sweep", "--from", "5", "--to", "1"],
     ["sweep", "--from", "0", "--to", "3"],
+    ["gen", "--family", "random", "--n", "1000000"],
+    ["diagnose", "--family", "random", "--n", "1001"],
 ])
 def test_out_of_range_family_argument_is_usage_error(tmp_path, capsys, args):
     # bad arguments are found before the output is opened: no file is made
@@ -182,6 +214,12 @@ def _oversized_file(tmp_path, header):
     return path
 
 
+def _digit_separator_file(tmp_path):
+    path = tmp_path / "separator.mat"
+    path.write_text("2 2\n1 0\n0 1_0\n")
+    return path
+
+
 @pytest.mark.parametrize("make_args", [
     lambda tmp: ["diagnose", "--in", str(tmp / "missing.mat")],
     lambda tmp: ["diagnose", "--in", str(tmp)],
@@ -194,10 +232,11 @@ def _oversized_file(tmp_path, header):
     lambda tmp: ["diagnose", "--family", "minij", "--csv", str(tmp / "no-dir" / "d.csv")],
     lambda tmp: ["table", "--id", "3", "--csv", str(tmp / "no-dir" / "t.csv")],
     lambda tmp: ["sweep", "--from", "1", "--to", "2", "--csv", str(tmp / "no-dir" / "s.csv")],
+    lambda tmp: ["diagnose", "--in", str(_digit_separator_file(tmp))],
 ], ids=["diagnose-missing", "diagnose-directory", "diagnose-non-ascii",
         "diagnose-oversized-rows", "diagnose-oversized-cols", "factor-missing",
         "gen-out-dir-missing", "diagnose-csv-dir-missing", "table-csv-dir-missing",
-        "sweep-csv-dir-missing"])
+        "sweep-csv-dir-missing", "diagnose-digit-separator"])
 def test_file_errors_are_usage_errors(tmp_path, capsys, monkeypatch, make_args):
     # a file that cannot be read or written ends the run before any work
     calls = []

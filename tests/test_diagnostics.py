@@ -161,6 +161,26 @@ def test_diagnose_marks_an_overflowing_intermediate():
             assert math.isnan(getattr(row, name)), name
 
 
+def test_diagnose_overflow_warns_nothing_and_keeps_the_row():
+    # numpy's overflow and invalid-value warnings are silenced inside
+    # diagnose; the row is bitwise the one computed with them on
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        row = diagnose(hyperbolic_spd(200.0), "hyperbolic", 200.0)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert row.error == "a computed quantity overflowed to a non-finite value"
+    assert row.norm2_A.hex() == "0x1.51c7f0dc41cc4p+577"
+    assert row.norm2_A11.hex() == "0x1.0e398d7d01703p+577"
+    for name in TABLE_QUANTITIES:
+        if name not in ("norm2_A", "norm2_A11"):
+            assert math.isnan(getattr(row, name)), name
+    # the silencing does not outlive the call
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        np.array([1e300]) * 1e300
+    assert [w.category for w in caught] == [RuntimeWarning]
+
+
 def test_diagnose_rejects_a_non_finite_partition():
     p = random_pdp(2, 1)
     a22 = p.a22.copy()

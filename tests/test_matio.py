@@ -65,6 +65,19 @@ def test_bad_token_message_names_first_bad_token(tmp_path):
         read_matrix(path)
 
 
+def test_digit_separator_is_a_bad_literal(tmp_path):
+    # float("1_0") is 10.0 in Python; the file format is plain decimal
+    path = tmp_path / "sep.mat"
+    path.write_text("1 3\n1 2_0 zebra\n")
+    with pytest.raises(ParseError, match="line 2: bad float literal '2_0'"):
+        read_matrix(path)
+    path.write_text("1_0 1\n1\n")
+    with pytest.raises(ParseError, match="line 1: non-integer header fields"):
+        read_matrix(path)
+    path.write_text("# a_comment may hold underscores\n1 1\n10\n")
+    assert np.array_equal(read_matrix(path), np.array([[10.0]]))
+
+
 def test_scientific_notation_accepted(tmp_path):
     path = tmp_path / "s.mat"
     path.write_text("1 3\n1e3 -2.5E-4 +0.125\n")
@@ -90,6 +103,12 @@ def test_scientific_notation_accepted(tmp_path):
         ("1000000000000 2\n1 2\n", 3),
         ("1 1000000000000\n1 2\n", 2),
         ("100000000 100000000\n1 2\n", 2),
+        # Python's digit separators, which float() and int() accept
+        ("1 1\n1_0\n", 2),
+        ("1_0 2\n1 2\n", 1),
+        ("1 1_0\n1 2\n", 1),
+        ("2 2\n1 0\n0 1_000\n", 3),
+        ("1 3\n1 2_5e3 3\n", 2),
     ],
 )
 def test_malformed_inputs_report_line(tmp_path, content, line):

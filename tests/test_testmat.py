@@ -16,7 +16,9 @@ from sympllt import (
 from sympllt.checks import check_w2_backward
 from sympllt.dense import EPS
 from sympllt.factor import spd_inverse
+from sympllt import testmat
 from sympllt.testmat import (
+    RANDOM_MAX_N,
     SplitMix64,
     diag_family,
     minij,
@@ -191,6 +193,16 @@ def test_random_pdp_spd_and_stable():
     p = random_pdp(20, 1)
     cholesky_lower(p.assemble())  # succeeds
     assert check_w2_backward(p).holds
+
+
+@pytest.mark.parametrize("n", [0, -3, RANDOM_MAX_N + 1, 10**6])
+def test_random_pdp_checks_n_before_generating(monkeypatch, n):
+    def generate(*args):
+        raise AssertionError("generated before the range check")
+
+    monkeypatch.setattr(testmat, "standard_normal_matrix", generate)
+    with pytest.raises(DomainError, match=f"n must be in 1..{RANDOM_MAX_N}, got {n}"):
+        random_pdp(n, 1)
 
 
 def test_every_family_is_bitwise_symmetric():
