@@ -6,6 +6,7 @@ configuration is flags; no environment variables.
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -67,7 +68,23 @@ def _build_parser():
     return parser
 
 
+def _require_writable(path):
+    """Raise OSError now if an --out or --csv ``path`` cannot be written.
+
+    Checked before the work, so a run that cannot save its result fails at
+    once.  Opens the file a symlink points to for appending, which leaves
+    an existing file as it is, and removes that file again if this made it.
+    """
+    real = os.path.realpath(path)
+    existed = os.path.exists(real)
+    with open(real, "a", encoding="ascii"):
+        pass
+    if not existed:
+        os.remove(real)
+
+
 def _cmd_gen(args):
+    _require_writable(args.out)  # generating is the work: before it
     matrix, _ = diagnostics.generate_family(args.family, **vars(args))
     if isinstance(matrix, BlockPartition):
         matrix = matrix.assemble()
@@ -78,6 +95,7 @@ def _cmd_gen(args):
 def _cmd_factor(args):
     a = matio.read_matrix(args.infile)
     p = BlockPartition.from_matrix(a)
+    _require_writable(args.out)  # after the input checks, before the work
     f = algorithm_w1(p) if args.alg == "w1" else algorithm_w2(p)
     matio.write_matrix(args.out, f.assemble())
     return 0
@@ -92,9 +110,8 @@ def _cmd_diagnose(args):
         family = args.family
     else:
         raise UsageError("diagnose needs --family or --in")
-    # after the argument checks, before the work: an unwritable --csv exits 2 at once
     if args.csv:
-        diagnostics.write_csv(args.csv, [])
+        _require_writable(args.csv)  # after the argument checks, before the work
     row = diagnostics.diagnose(matrix, family, param)
     print(diagnostics.format_table([row]))
     if args.csv:
@@ -107,7 +124,7 @@ def _cmd_diagnose(args):
 
 def _cmd_table(args):
     if args.csv:
-        diagnostics.write_csv(args.csv, [])  # before the work, as in diagnose
+        _require_writable(args.csv)
     rows = diagnostics.run_table(args.id)
     print(diagnostics.format_table(rows, title=f"table {args.id}"))
     if args.csv:
@@ -117,7 +134,7 @@ def _cmd_table(args):
 
 def _cmd_sweep(args):
     diagnostics._sweep_range(args.n_from, args.n_to)
-    diagnostics.write_csv(args.csv, [])  # after the argument check, before the work
+    _require_writable(args.csv)  # after the argument check, before the work
     rows = diagnostics.run_sweep(args.family, args.n_from, args.n_to, args.seed)
     diagnostics.write_csv(args.csv, rows)
     bad = [r for r in rows if not r.ok]

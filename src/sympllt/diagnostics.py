@@ -130,15 +130,25 @@ TABLE_THETAS = (3.0, 4.0, 6.0, 7.0)
 TABLE_PASCAL_SIZES = (6, 8, 10, 12)
 
 
+# each report table's family, and the family argument that varies across its columns
+TABLES = {
+    1: ("hyperbolic", "theta", TABLE_THETAS),
+    2: ("hyperbolic-inverse", "theta", TABLE_THETAS),
+    3: ("pascal", "n", TABLE_PASCAL_SIZES),
+}
+
+
+def _family_row(family, **args):
+    matrix, param = generate_family(family, **args)
+    return diagnose(matrix, family, param)
+
+
 def run_table(table_id):
     """Rows of report table 1 (S^T S), 2 (its inverse) or 3 (Pascal family)."""
-    if table_id == 1:
-        return [diagnose(hyperbolic_spd(t), "hyperbolic", t) for t in TABLE_THETAS]
-    if table_id == 2:
-        return [diagnose(hyperbolic_spd_inverse(t), "hyperbolic-inverse", t) for t in TABLE_THETAS]
-    if table_id == 3:
-        return [diagnose(pascal_symplectic(n), "pascal", n) for n in TABLE_PASCAL_SIZES]
-    raise UsageError(f"run_table: table id must be 1, 2 or 3, got {table_id!r}")
+    if table_id not in tuple(TABLES):
+        raise UsageError(f"run_table: table id must be 1, 2 or 3, got {table_id!r}")
+    family, arg, values = TABLES[table_id]
+    return [_family_row(family, **{arg: value}) for value in values]
 
 
 def run_sweep(family, n_from, n_to, seed=0):
@@ -151,11 +161,7 @@ def run_sweep(family, n_from, n_to, seed=0):
     sizes = _sweep_range(n_from, n_to)
     if family not in SWEEP_FAMILIES:
         raise UsageError(f"run_sweep: unsupported family {family!r}")
-    rows = []
-    for n in sizes:
-        matrix, param = generate_family(family, n=n, seed=seed + n)
-        rows.append(diagnose(matrix, family, param))
-    return rows
+    return [_family_row(family, n=n, seed=seed + n) for n in sizes]
 
 
 def _sweep_range(n_from, n_to):

@@ -21,10 +21,16 @@ def require_symmetric(a, op):
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"{op}: matrix must be square, got {a.shape}")
-    skew = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-    if skew > SYMMETRY_RTOL * frobenius_norm(a):
+    b, norm = a, frobenius_norm(a)
+    if math.isinf(norm):
+        # every skew is below an overflowed ||a||_F: compare at the scale of max|a|
+        b = a / np.max(np.abs(a))
+        norm = frobenius_norm(b)
+    skew = float(np.max(np.abs(b - b.T))) if a.size else 0.0
+    if skew > SYMMETRY_RTOL * norm:
         raise DimensionError(
-            f"{op}: asymmetry {skew:.3e} exceeds {SYMMETRY_RTOL:.0e} * ||a||_F"
+            f"{op}: asymmetry {float(np.max(np.abs(a - a.T))):.3e} exceeds "
+            f"{SYMMETRY_RTOL:.0e} * ||a||_F"
         )
     return a
 

@@ -71,7 +71,7 @@ def read_matrix(path):
         try:
             if "_" in line:
                 raise ValueError
-            out.append(np.array([float(tok) for tok in parts]))
+            out.append(np.array(parts, dtype=np.float64))  # float()'s bits and errors
             finite = np.isfinite(out[i]).all()
         except ValueError:
             finite = False

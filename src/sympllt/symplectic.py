@@ -40,8 +40,10 @@ class BlockPartition:
     """A symmetric 2n x 2n matrix stored as blocks (a21 is implicitly a12^T).
 
     Factors, intermediates and the per-matrix scalars are computed on first
-    use and cached, arrays as read-only; the blocks must not change once one
-    has been read.  ``kappa`` and ``kappa_a11`` raise SingularError, and the
+    use and cached, arrays as read-only; a block must not change once a
+    cached value that reads it has been read.  ``l11``, ``l11_inv_t`` and
+    ``inv_a11`` read only a11, which lets pdp_assemble fill a22 after
+    reading ``inv_a11``.  ``kappa`` and ``kappa_a11`` raise SingularError, and the
     factors FactorError, on every read: a raised exception is not cached.
     """
 
@@ -80,11 +82,30 @@ class BlockPartition:
         return out
 
     @cached_property
+    def l11(self):
+        """chol(a11), the (1,1) block of both factors."""
+        return _read_only(cholesky_lower(self.a11, stage="leading-block cholesky"))
+
+    @cached_property
+    def l11_inv_t(self):
+        """l11^-T, the (2,2) block of the w1 factor."""
+        return _read_only(np.ascontiguousarray(lower_triangular_inverse(self.l11).T))
+
+    @cached_property
+    def inv_a11(self):
+        """inv(a11) = l11^-T l11^-1; bitwise spd_inverse(a11).
+
+        With ``l11`` and ``l11_inv_t`` it reads only a11, so pdp_assemble
+        can read it before the (2,2) block it needs it for is filled in.
+        """
+        l22 = self.l11_inv_t
+        return _read_only(_outer(l22, l22))
+
+    @cached_property
     def shared(self):
         """(l11, l21) of both algorithms: l11 = chol(a11), l11 l21^T = a12."""
-        l11 = cholesky_lower(self.a11, stage="leading-block cholesky")
-        l21 = np.ascontiguousarray(forward_substitute(l11, self.a12).T)
-        return _read_only(l11), _read_only(l21)
+        l21 = np.ascontiguousarray(forward_substitute(self.l11, self.a12).T)
+        return self.l11, _read_only(l21)
 
     @cached_property
     def gram(self):
@@ -116,12 +137,6 @@ class BlockPartition:
     @cached_property
     def w2(self):
         return algorithm_w2(self)
-
-    @cached_property
-    def inv_a11(self):
-        """inv(a11) = l22 l22^T from the w1 factor; bitwise spd_inverse(a11)."""
-        l22 = self.w1.l22
-        return _read_only(_outer(l22, l22))
 
     @cached_property
     def coupling(self):
@@ -328,8 +343,7 @@ def algorithm_w1(p):
     diagonal correction whose (2,2) block is inv(a11) - schur(a11).
     """
     l11, l21 = p.shared
-    l22 = np.ascontiguousarray(lower_triangular_inverse(l11).T)
-    return BlockFactor(n=p.n, l11=l11, l21=l21, l22=_read_only(l22), algorithm="w1")
+    return BlockFactor(n=p.n, l11=l11, l21=l21, l22=p.l11_inv_t, algorithm="w1")
 
 
 def algorithm_w2(p):

@@ -11,7 +11,6 @@ import numpy as np
 
 from .dense import matmul
 from .errors import DomainError, InvalidEntryError
-from .factor import spd_inverse
 from .symplectic import BlockPartition, _structure_inverse
 
 _MASK = (1 << 64) - 1
@@ -220,18 +219,20 @@ def diag_family(t, theta):
 def pdp_assemble(g, h):
     """Assemble the structure-preserving SPD form [g, gh; hg, hgh + inv(g)].
 
-    ``g`` must be SPD and ``h`` symmetric; inv(g) is ``spd_inverse(g)`` and
-    the (2,2) block is symmetrized after assembly.
+    ``g`` must be SPD and ``h`` symmetric.  inv(g) is the partition's own
+    ``inv_a11``, which reads only the (1,1) block, so the returned
+    partition has chol(g), its inverse transpose and inv(g) cached
+    already.  The (2,2) block is symmetrized after assembly.
     """
     g = np.asarray(g, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     if g.shape != h.shape or g.shape[0] != g.shape[1]:
         raise DomainError("pdp_assemble: g and h must be square of equal order")
-    ginv = spd_inverse(g)
-    a12 = matmul(g, h)
-    a22 = matmul(h, a12) + ginv
-    a22 = 0.5 * (a22 + a22.T)
-    return BlockPartition(n=g.shape[0], a11=g.copy(), a12=a12, a22=a22)
+    n = g.shape[0]
+    p = BlockPartition(n=n, a11=g.copy(), a12=matmul(g, h), a22=np.zeros((n, n)))
+    a22 = matmul(h, p.a12) + p.inv_a11
+    p.a22[...] = 0.5 * (a22 + a22.T)
+    return p
 
 
 # the largest n random_pdp makes (order 2000): generation time grows as n^3

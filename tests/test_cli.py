@@ -192,7 +192,7 @@ def test_usage_error_exit_code():
     ["diagnose", "--family", "random", "--n", "1001"],
 ])
 def test_out_of_range_family_argument_is_usage_error(tmp_path, capsys, args):
-    # bad arguments are found before the output is opened: no file is made
+    # a bad argument leaves no file: gen's probe of --out removes what it made
     out = tmp_path / "x.mat"
     args = [*args, "--out" if args[0] == "gen" else "--csv", str(out)]
     assert main(args) == 2
@@ -247,3 +247,79 @@ def test_file_errors_are_usage_errors(tmp_path, capsys, monkeypatch, make_args):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err and "numerical failure" not in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_asymmetric_file_with_overflowing_norm_is_usage_error(tmp_path, capsys):
+    # ||a||_F overflows to inf, which once let any asymmetry through
+    a = np.diag([1e200] * 4)
+    a[2, 3], a[3, 2] = 5e199, -5e199
+    src = tmp_path / "asym.mat"
+    matio.write_matrix(src, a)
+    assert main(["diagnose", "--in", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: BlockPartition: asymmetry")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+@pytest.mark.parametrize("command", ["gen", "factor-w1", "factor-w2"])
+def test_unwritable_out_fails_before_the_work(tmp_path, capsys, monkeypatch, command, target):
+    from sympllt import cli
+
+    calls = []
+
+    def recorded(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "generate_family",
+                        recorded("generate_family", diagnostics.generate_family))
+    monkeypatch.setattr(cli, "algorithm_w1", recorded("algorithm_w1", cli.algorithm_w1))
+    monkeypatch.setattr(cli, "algorithm_w2", recorded("algorithm_w2", cli.algorithm_w2))
+    src = tmp_path / "in" / "a.mat"
+    src.parent.mkdir()
+    matio.write_matrix(src, minij())
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "no-dir" / "x.mat" if target == "missing-dir" else out_dir
+    if command == "gen":
+        args = ["gen", "--family", "random", "--n", "5", "--out", str(out)]
+    else:
+        args = ["factor", "--alg", command[-2:], "--in", str(src), "--out", str(out)]
+    assert main(args) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert list(out_dir.iterdir()) == []
+
+
+def test_out_check_leaves_an_existing_file_until_the_write(tmp_path):
+    out = tmp_path / "a.mat"
+    out.write_text("old")
+    # a bad argument ends the run after the writability check: the file stays
+    assert main(["gen", "--family", "pascal", "--n", "20", "--out", str(out)]) == 2
+    assert out.read_text() == "old"
+    assert main(["gen", "--family", "minij", "--out", str(out)]) == 0
+    assert np.array_equal(matio.read_matrix(out), minij())
+
+
+@pytest.mark.parametrize("bad, good", [
+    (["gen", "--family", "pascal", "--n", "20", "--out"],
+     ["gen", "--family", "minij", "--out"]),
+    (["sweep", "--from", "5", "--to", "1", "--csv"],
+     ["sweep", "--from", "1", "--to", "2", "--csv"]),
+    (["diagnose", "--family", "pascal", "--n", "20", "--csv"],
+     ["diagnose", "--family", "minij", "--csv"]),
+], ids=["gen-out", "sweep-csv", "diagnose-csv"])
+def test_dangling_symlink_output(tmp_path, bad, good):
+    # the check opens the symlink's target; a file it makes it removes again
+    target = tmp_path / "target"
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    assert main([*bad, str(link)]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link"]
+    assert link.is_symlink() and not target.exists()
+    # a good run writes through the link
+    assert main([*good, str(link)]) == 0
+    assert target.stat().st_size > 0

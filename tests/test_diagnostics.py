@@ -86,6 +86,29 @@ def test_run_table_shapes_and_values():
         run_table(4)
 
 
+def test_run_table_rows_come_from_the_family_registry_unchanged():
+    from dataclasses import astuple
+
+    from sympllt.diagnostics import TABLE_PASCAL_SIZES, TABLE_THETAS
+    from sympllt.testmat import hyperbolic_spd_inverse
+
+    def bits(rows):
+        return [[np.float64(v).tobytes() if isinstance(v, float) else v for v in astuple(r)]
+                for r in rows]
+
+    # the rows as run_table once built them, each generator called directly
+    direct = {
+        1: [diagnose(hyperbolic_spd(t), "hyperbolic", t) for t in TABLE_THETAS],
+        2: [diagnose(hyperbolic_spd_inverse(t), "hyperbolic-inverse", t) for t in TABLE_THETAS],
+        3: [diagnose(pascal_symplectic(n), "pascal", n) for n in TABLE_PASCAL_SIZES],
+    }
+    for table_id, rows in direct.items():
+        assert bits(run_table(table_id)) == bits(rows)
+    for bad in (0, 4, "1", None):
+        with pytest.raises(UsageError):
+            run_table(bad)
+
+
 def test_tables_1_and_2_share_kappa():
     t1, t2 = run_table(1), run_table(2)
     for a, b in zip(t1, t2):

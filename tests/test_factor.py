@@ -91,6 +91,32 @@ def test_cholesky_rejects_asymmetry():
         cholesky_lower(a)
 
 
+def _overflowing_norm_asymmetric():
+    # ||a||_F overflows to inf; a21 is not a12^T by a relative 1e-1
+    a = np.diag([1e200] * 4)
+    a[2, 3], a[3, 2] = 5e199, -5e199
+    return a
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_asymmetry_is_rejected_when_the_norm_overflows():
+    from sympllt.factor import require_symmetric
+    from sympllt.symplectic import BlockPartition
+
+    with pytest.raises(DimensionError, match="asymmetry 1.000e[+]300"):
+        require_symmetric(np.array([[1e300, 0.0], [1e300, 1e300]]), "test")
+    with pytest.raises(DimensionError, match="asymmetry"):
+        cholesky_lower(np.array([[1e300, 0.0], [1e300, 1e300]]))
+    with pytest.raises(DimensionError, match="asymmetry"):
+        BlockPartition.from_matrix(_overflowing_norm_asymmetric())
+    # symmetric input with an overflowing norm still passes, unchanged
+    a = np.abs(_overflowing_norm_asymmetric())
+    p = BlockPartition.from_matrix(a)
+    assert np.array_equal(p.assemble(), a)
+    b = np.array([[1e300, 1e300], [1e300 * (1 + 1e-13), 1e300]])
+    assert require_symmetric(b, "test") is not None  # below the relative tolerance
+
+
 def test_cholesky_positive_diagonal():
     for a in (hyperbolic_spd(5.0), random_pdp(9, 2).assemble()):
         assert np.all(np.diag(cholesky_lower(a)) > 0)
