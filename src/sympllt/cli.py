@@ -85,10 +85,8 @@ def _require_writable(path):
 
 def _cmd_gen(args):
     _require_writable(args.out)  # generating is the work: before it
-    matrix, _ = diagnostics.generate_family(args.family, **vars(args))
-    if isinstance(matrix, BlockPartition):
-        matrix = matrix.assemble()
-    matio.write_matrix(args.out, matrix)
+    p, _ = diagnostics.generate_family(args.family, **vars(args))
+    matio.write_matrix(args.out, p.assemble())
     return 0
 
 
@@ -103,16 +101,16 @@ def _cmd_factor(args):
 
 def _cmd_diagnose(args):
     if args.infile:
-        matrix = BlockPartition.from_matrix(matio.read_matrix(args.infile))
+        p = BlockPartition.from_matrix(matio.read_matrix(args.infile))
         family, param = "file", 0.0
     elif args.family:
-        matrix, param = diagnostics.generate_family(args.family, **vars(args))
+        p, param = diagnostics.generate_family(args.family, **vars(args))
         family = args.family
     else:
         raise UsageError("diagnose needs --family or --in")
     if args.csv:
         _require_writable(args.csv)  # after the argument checks, before the work
-    row = diagnostics.diagnose(matrix, family, param)
+    row = diagnostics.diagnose(p, family, param)
     print(diagnostics.format_table([row]))
     if args.csv:
         diagnostics.write_csv(args.csv, [row])

@@ -63,15 +63,11 @@ def matmul(a, b, acc=None):
     inner dimension of at least 64, the k-th update touches only the rows
     between the first and last nonzero of ``a[:, k]`` and the columns
     between the first and last nonzero of ``b[k, :]``; a k with an all-zero
-    column or row is skipped.  When ``b`` equals ``a.T`` and the output
-    spans several row bands, only the lower triangle is accumulated and
-    the upper one is copied from it.  The result is bitwise that of the
-    full loop because a running sum that starts at +0.0 is never -0.0, so
-    adding a +-0 product never changes it, and because IEEE multiplication
-    commutes, so ``a a^T`` is bitwise symmetric.  The same holds from an
-    ``acc`` that is finite and has no -0.0 entry (mirroring also needs it
-    bitwise symmetric); any other ``acc``, and NaN or infinite inputs, keep
-    every term (``0 * inf`` is NaN, ``-0.0 + 0.0`` is +0.0).
+    column or row is skipped.  The result is bitwise that of the full loop
+    because a running sum that starts at +0.0 is never -0.0, so adding a
+    +-0 product never changes it.  The same holds from an ``acc`` that is
+    finite and has no -0.0 entry; any other ``acc``, and NaN or infinite
+    inputs, keep every term (``0 * inf`` is NaN, ``-0.0 + 0.0`` is +0.0).
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -94,17 +90,12 @@ def matmul(a, b, acc=None):
     col_first, col_stop = _nonzero_extents((b != 0).T)
     bands = max(1, m // _BAND_ROWS)
     height = -(-m // bands)
-    symmetric = (bands > 1 and np.array_equal(a, b.T)
-                 and (acc is None or np.array_equal(out, out.T)))
     for i0 in range(0, m, height):
         i1 = min(i0 + height, m)
-        col_limit = i1 if symmetric else n
         for k, r0, r1, c0, c1 in zip(range(inner), row_first, row_stop, col_first, col_stop):
-            r0, r1, c1 = max(r0, i0), min(r1, i1), min(c1, col_limit)
+            r0, r1 = max(r0, i0), min(r1, i1)
             if r0 < r1 and c0 < c1:
                 out[r0:r1, c0:c1] += a[r0:r1, k : k + 1] * b[k : k + 1, c0:c1]
-        if symmetric:
-            out[:i0, i0:i1] = out[i0:i1, :i0].T
     return out
 
 
@@ -144,8 +135,8 @@ def condition_number(a):
     the matrix and of its inverse obtained by factorization-based solves.
     """
     a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError("condition_number: matrix must be square")
+    if a.size == 0 or a.shape[0] != a.shape[1]:
+        raise DimensionError("condition_number: matrix must be square and non-empty")
     _require_finite(a, "condition_number")
     return _condition(a, _symmetric_eigenvalues(a))
 

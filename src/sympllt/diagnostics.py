@@ -8,6 +8,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .checks import (
+    HOLDS,
+    SKIPPED,
+    VIOLATED,
     check_condition_bounds,
     check_omega_factor_bounds,
     check_perturbation_bounds,
@@ -28,14 +31,16 @@ from .testmat import (
 )
 
 # Every named family: its generator, which takes the family arguments
-# theta, n, t and seed by keyword and ignores those it does not use, and the
-# argument a diagnostics row reports as its param (None: the row reports 0).
+# theta, n, t and seed by keyword, ignores those it does not use and returns
+# a BlockPartition, and the argument a diagnostics row reports as its param
+# (None: the row reports 0).
 FAMILIES = {
-    "minij": (lambda **_: minij(), None),
-    "hyperbolic": (lambda theta, **_: hyperbolic_spd(theta), "theta"),
-    "hyperbolic-inverse": (lambda theta, **_: hyperbolic_spd_inverse(theta), "theta"),
+    "minij": (lambda **_: BlockPartition.from_matrix(minij()), None),
+    "hyperbolic": (lambda theta, **_: BlockPartition.from_matrix(hyperbolic_spd(theta)), "theta"),
+    "hyperbolic-inverse": (
+        lambda theta, **_: BlockPartition.from_matrix(hyperbolic_spd_inverse(theta)), "theta"),
     "pascal": (lambda n, **_: pascal_symplectic(n), "n"),
-    "diagt": (lambda t, theta, **_: diag_family(t, theta)[1], "t"),
+    "diagt": (lambda t, theta, **_: BlockPartition.from_matrix(diag_family(t, theta)[1]), "t"),
     "random": (lambda n, seed, **_: random_pdp(n, seed), "n"),
 }
 # the families a size sweep runs over, indexed by n
@@ -43,13 +48,9 @@ SWEEP_FAMILIES = ("random", "pascal")
 
 
 def generate_family(name, **args):
-    """(matrix or BlockPartition, param) of the named family; see FAMILIES."""
+    """(BlockPartition, param) of the named family; see FAMILIES."""
     make, param = FAMILIES[name]
     return make(**args), (args[param] if param else 0.0)
-
-
-def _partition(matrix):
-    return matrix if isinstance(matrix, BlockPartition) else BlockPartition.from_matrix(matrix)
 
 
 TABLE_QUANTITIES = [
@@ -95,7 +96,7 @@ def diagnose(a, family="custom", param=0.0):
     """
     # an overflow ends up in the row's error, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
-        p = _partition(a)
+        p = a if isinstance(a, BlockPartition) else BlockPartition.from_matrix(a)
         values = {
             "family": family,
             "param": float(param),
@@ -263,8 +264,7 @@ def standard_fixtures():
     specs.append(("diagt", "1e6", {"t": 1e6, "theta": 1e-10}))
     specs += [("random", f"n{n}-s{s}", {"n": n, "seed": s})
               for n in RANDOM_FIXTURE_SIZES for s in RANDOM_FIXTURE_SEEDS]
-    return [(f"{family}/{label}" if label else family,
-             _partition(generate_family(family, **args)[0]))
+    return [(f"{family}/{label}" if label else family, generate_family(family, **args)[0])
             for family, label, args in specs]
 
 
@@ -299,9 +299,9 @@ def run_checks(scope="all", inject_w2_fault=False):
             per_fixture.extend(check_perturbation_bounds(p, e))
         results.extend(replace(r, context=name) for r in per_fixture)
 
-    holds = sum(1 for r in results if r.verdict == "holds")
-    violated = sum(1 for r in results if r.verdict == "violated")
-    skipped = sum(1 for r in results if r.verdict == "skipped")
+    holds = sum(1 for r in results if r.verdict == HOLDS)
+    violated = sum(1 for r in results if r.verdict == VIOLATED)
+    skipped = sum(1 for r in results if r.verdict == SKIPPED)
     return CheckSuiteReport(
         results=tuple(results), holds=holds, violated=violated, skipped=skipped
     )

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .dense import as_matrix, frobenius_norm, reverse_permute
+from .dense import as_matrix, frobenius_norm, matmul, reverse_permute
 from .errors import DimensionError, PivotNotPositiveError, SingularError
 
 # asymmetry beyond this multiple of ||a||_F is treated as a caller bug,
@@ -21,17 +21,24 @@ def require_symmetric(a, op):
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"{op}: matrix must be square, got {a.shape}")
-    b, norm = a, frobenius_norm(a)
-    if math.isinf(norm):
-        # every skew is below an overflowed ||a||_F: compare at the scale of max|a|
-        b = a / np.max(np.abs(a))
-        norm = frobenius_norm(b)
-    skew = float(np.max(np.abs(b - b.T))) if a.size else 0.0
-    if skew > SYMMETRY_RTOL * norm:
-        raise DimensionError(
-            f"{op}: asymmetry {float(np.max(np.abs(a - a.T))):.3e} exceeds "
-            f"{SYMMETRY_RTOL:.0e} * ||a||_F"
-        )
+    if not np.isfinite(a).all():
+        # a NaN fails every comparison with the tolerance: demand bitwise symmetry
+        if not np.array_equal(a, a.T, equal_nan=True):
+            raise DimensionError(f"{op}: matrix with NaN or infinite entries is not symmetric")
+        return a
+    # the overflow of ||a||_F (or of a - a^T) is handled here, so numpy need not warn of it
+    with np.errstate(over="ignore"):
+        b, norm = a, frobenius_norm(a)
+        if math.isinf(norm):
+            # every skew is below an overflowed ||a||_F: compare at the scale of max|a|
+            b = a / np.max(np.abs(a))
+            norm = frobenius_norm(b)
+        skew = float(np.max(np.abs(b - b.T))) if a.size else 0.0
+        if skew > SYMMETRY_RTOL * norm:
+            raise DimensionError(
+                f"{op}: asymmetry {float(np.max(np.abs(a - a.T))):.3e} exceeds "
+                f"{SYMMETRY_RTOL:.0e} * ||a||_F"
+            )
     return a
 
 
@@ -125,8 +132,6 @@ def spd_inverse(a):
     Formed as L^-T L^-1 from the triangular inverse; the fixed product
     order makes the result bitwise symmetric.
     """
-    from .dense import matmul
-
     low = cholesky_lower(a)
     linv = lower_triangular_inverse(low)
     return matmul(np.ascontiguousarray(linv.T), linv)

@@ -56,8 +56,8 @@ class BlockPartition:
     def from_matrix(cls, a):
         """Split a finite, symmetric matrix of even order into its blocks."""
         a = as_matrix(a)
-        # before the symmetry test: NaN fails every comparison, so that
-        # test alone would let it through
+        # before the symmetry test, so a non-finite matrix is reported as
+        # invalid, symmetric or not
         _require_finite(a, "BlockPartition")
         a = require_symmetric(a, "BlockPartition")
         if a.shape[0] % 2 != 0:
@@ -102,27 +102,25 @@ class BlockPartition:
         return _read_only(_outer(l22, l22))
 
     @cached_property
-    def shared(self):
-        """(l11, l21) of both algorithms: l11 = chol(a11), l11 l21^T = a12."""
-        l21 = np.ascontiguousarray(forward_substitute(self.l11, self.a12).T)
-        return self.l11, _read_only(l21)
+    def l21(self):
+        """l21 with l11 l21^T = a12, the (2,1) block of both factors."""
+        return _read_only(np.ascontiguousarray(forward_substitute(self.l11, self.a12).T))
 
     @cached_property
     def gram(self):
         """(l11 l11^T, l21 l11^T, l21 l21^T): the blocks of L L^T w1 and w2 share."""
-        l11, l21 = self.shared
+        l11, l21 = self.l11, self.l21
         return _read_only(_outer(l11, l11)), _read_only(_outer(l21, l11)), self._l21_outer
 
     @cached_property
     def _l21_outer(self):
         # l21 l21^T on its own: the Schur complement needs no other gram block
-        l21 = self.shared[1]
-        return _read_only(_outer(l21, l21))
+        return _read_only(_outer(self.l21, self.l21))
 
     @cached_property
     def omega11(self):
         """The (1,1) block of omega(L), l11^T l21 - l21^T l11, shared by w1 and w2."""
-        return _read_only(_omega11(*self.shared))
+        return _read_only(_omega11(self.l11, self.l21))
 
     @cached_property
     def schur(self):
@@ -141,9 +139,8 @@ class BlockPartition:
     @cached_property
     def coupling(self):
         """inv(a11) a12 from two solves with l11; bitwise spd_solve(a11, a12)."""
-        l11, l21 = self.shared
-        return _read_only(upper_substitute(np.ascontiguousarray(l11.T),
-                                           np.ascontiguousarray(l21.T)))
+        return _read_only(upper_substitute(np.ascontiguousarray(self.l11.T),
+                                           np.ascontiguousarray(self.l21.T)))
 
     @cached_property
     def drift(self):
@@ -267,8 +264,7 @@ class BlockFactor:
     def _shares_blocks(self, p):
         # p's cached products apply when this factor holds p's own l11 and
         # l21; a partition that has not factored itself is not factored here
-        shared = vars(p).get("shared")
-        return shared is not None and self.l11 is shared[0] and self.l21 is shared[1]
+        return self.l21 is vars(p).get("l21") and self.l11 is p.l11
 
 
 def _outer(x, y):
@@ -342,20 +338,18 @@ def algorithm_w1(p):
     In exact arithmetic L L^T reproduces the input only up to a block
     diagonal correction whose (2,2) block is inv(a11) - schur(a11).
     """
-    l11, l21 = p.shared
-    return BlockFactor(n=p.n, l11=l11, l21=l21, l22=p.l11_inv_t, algorithm="w1")
+    return BlockFactor(n=p.n, l11=p.l11, l21=p.l21, l22=p.l11_inv_t, algorithm="w1")
 
 
 def algorithm_w2(p):
     """Backward-stable factorization: l22 from the Schur complement.
 
-    l11 and l21 are the partition's shared blocks, the same read-only
-    arrays algorithm_w1 returns; l22 is the Reverse Cholesky factor of
-    the Schur complement a22 - l21 l21^T.
+    l11 and l21 are the partition's own blocks, the same read-only arrays
+    algorithm_w1 returns; l22 is the Reverse Cholesky factor of the Schur
+    complement a22 - l21 l21^T.
     """
-    l11, l21 = p.shared
     l22 = reverse_cholesky_upper(p.schur, stage="schur-complement reverse-cholesky")
-    return BlockFactor(n=p.n, l11=l11, l21=l21, l22=_read_only(l22), algorithm="w2")
+    return BlockFactor(n=p.n, l11=p.l11, l21=p.l21, l22=_read_only(l22), algorithm="w2")
 
 
 def distance_to_symplecticity(f, p):

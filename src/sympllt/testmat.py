@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .dense import matmul
+from .dense import matmul, spectral_norm
 from .errors import DomainError, InvalidEntryError
 from .symplectic import BlockPartition, _structure_inverse
 
@@ -260,8 +260,6 @@ def random_pdp(n, seed):
 
 def symmetric_perturbation(order, norm, seed):
     """Symmetric random matrix scaled to the requested spectral norm."""
-    from .dense import spectral_norm
-
     r = standard_normal_matrix(order, seed)
     e = 0.5 * (r + r.T)
     scale = spectral_norm(e)

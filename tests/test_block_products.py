@@ -9,7 +9,6 @@ bit, compared as uint64 views so -0.0 vs +0.0 counts.
 """
 
 import dataclasses
-import sys
 
 import numpy as np
 import pytest
@@ -20,6 +19,8 @@ from sympllt.diagnostics import diagnose, run_checks, standard_fixtures
 from sympllt.errors import DimensionError, SingularError
 from sympllt.symplectic import BlockFactor, BlockPartition, omega
 from sympllt.testmat import hyperbolic_spd, random_pdp
+
+from support import check_fields, float_bits, rebind, row_fields
 
 
 def frozen_residual(f, p):
@@ -107,12 +108,12 @@ def test_matmul_acc_non_finite(bad):
 
 
 @pytest.mark.parametrize("order", [255, 256, 300])
-def test_matmul_acc_gram_mirrors_only_symmetric_starts(order):
+def test_matmul_acc_gram_continues_any_start(order):
     low = np.tril(normal((order, order), order))
     g = matmul(low, low.T)
-    assert_continues(low, low.T, g)  # bitwise symmetric: mirrored
+    assert_continues(low, low.T, g)  # bitwise symmetric
     skew = normal((order, order), 8)
-    assert_continues(low, low.T, skew)  # not symmetric: the full loop
+    assert_continues(low, low.T, skew)  # not symmetric
     got = matmul(low, low.T, g)
     assert_same_bits(got, got.T)
 
@@ -164,7 +165,7 @@ def test_factors_not_holding_the_cached_blocks(n):
     # nor may a partition that has not factored itself be factored
     fresh = BlockPartition.from_matrix(p.assemble())
     assert_block_forms(copy, fresh)
-    assert "shared" not in vars(fresh)
+    assert "l21" not in vars(fresh)
 
 
 @pytest.mark.parametrize("n", [4, 64, 70])
@@ -196,21 +197,6 @@ def test_mix_is_the_coupling_block_of_omega_l2():
 
 # --- everything built on them, with the frozen forms patched in -------------
 
-def float_bits(values):
-    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
-
-
-def row_fields(row):
-    fields = dataclasses.astuple(row)
-    return ([v for v in fields if not isinstance(v, float)],
-            float_bits([v for v in fields if isinstance(v, float)]))
-
-
-def check_fields(report):
-    return ([(r.bound_id, r.verdict, r.reason, r.context) for r in report.results],
-            float_bits([(r.lhs, r.rhs, r.floor) for r in report.results]))
-
-
 def use_frozen_forms(monkeypatch):
     monkeypatch.setattr(BlockFactor, "residual", frozen_residual)
     monkeypatch.setattr(BlockFactor, "omega", frozen_omega)
@@ -241,9 +227,7 @@ def logged_matmul(monkeypatch):
         calls.append([np.array(a) for a in args])
         return original(*args)
 
-    for name, module in sorted(sys.modules.items()):
-        if name.split(".")[0] == "sympllt" and getattr(module, "matmul", None) is original:
-            monkeypatch.setattr(module, "matmul", wrapper)
+    rebind(monkeypatch, original, wrapper)
     return calls
 
 
@@ -252,7 +236,7 @@ def test_l21_gram_formed_once_per_diagnose(monkeypatch, n):
     calls = logged_matmul(monkeypatch)
     p = random_pdp(n, 11)
     assert diagnose(p).ok
-    l21 = p.shared[1]
+    l21 = p.l21
     grams = [c for c in calls
              if len(c) == 2 and np.array_equal(c[0], l21) and np.array_equal(c[1], l21.T)]
     assert len(grams) == 1

@@ -178,3 +178,8 @@ def test_condition_number_singular_inputs():
 def test_spectral_norm_empty_rejected():
     with pytest.raises(DimensionError):
         spectral_norm(np.zeros((0, 0)))
+
+
+def test_condition_number_empty_rejected():
+    with pytest.raises(DimensionError):
+        condition_number(np.zeros((0, 0)))

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -98,7 +99,6 @@ def _overflowing_norm_asymmetric():
     return a
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_asymmetry_is_rejected_when_the_norm_overflows():
     from sympllt.factor import require_symmetric
     from sympllt.symplectic import BlockPartition
@@ -115,6 +115,37 @@ def test_asymmetry_is_rejected_when_the_norm_overflows():
     assert np.array_equal(p.assemble(), a)
     b = np.array([[1e300, 1e300], [1e300 * (1 + 1e-13), 1e300]])
     assert require_symmetric(b, "test") is not None  # below the relative tolerance
+
+
+def test_non_finite_entries_do_not_hide_asymmetry():
+    from sympllt.factor import require_symmetric
+
+    # a NaN once made ||a||_F NaN, and no skew exceeds a NaN tolerance
+    with pytest.raises(DimensionError, match="not symmetric"):
+        require_symmetric(np.array([[1.0, math.nan], [5.0, 1.0]]), "x")
+    with pytest.raises(DimensionError, match="not symmetric"):
+        cholesky_lower(np.array([[1.0, math.nan], [0.0, 1.0]]))
+    with pytest.raises(DimensionError, match="not symmetric"):
+        cholesky_lower(np.array([[math.inf, 0.0], [1.0, 1.0]]))
+    # bitwise-symmetric non-finite input, NaN positions included, reaches the pivot test
+    a = np.array([[1.0, math.nan], [math.nan, 1.0]])
+    assert np.array_equal(require_symmetric(a, "x"), a, equal_nan=True)
+    with pytest.raises(PivotNotPositiveError):
+        cholesky_lower(a)
+
+
+def test_overflowing_norm_warns_nothing():
+    from sympllt.diagnostics import generate_family
+    from sympllt.factor import require_symmetric
+    from sympllt.symplectic import BlockPartition
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        require_symmetric(np.abs(_overflowing_norm_asymmetric()), "x")
+        with pytest.raises(DimensionError, match="asymmetry"):
+            require_symmetric(_overflowing_norm_asymmetric(), "x")
+        BlockPartition.from_matrix(hyperbolic_spd(200.0))
+        generate_family("hyperbolic", theta=200.0)
 
 
 def test_cholesky_positive_diagonal():

@@ -8,10 +8,11 @@ it.  Values are compared as uint64 views, so -0.0 vs +0.0 counts.
 
 import math
 
-import numpy as np
 import pytest
 
 from sympllt.testmat import SplitMix64, standard_normal_matrix
+
+from support import float_bits as bits
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -49,10 +50,6 @@ class FrozenSplitMix64:
         while len(out) < count:
             out.extend(self.normal_pair())
         return out[:count]
-
-
-def bits(values):
-    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
 
 
 def _unshift(y, s):

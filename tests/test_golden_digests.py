@@ -120,5 +120,5 @@ def test_orders_straddle_the_kernel_thresholds():
     orders = set(ORDERS)
     for limit in (dense._MIN_INNER, dense._BAND_ROWS):
         assert min(orders) < limit < max(orders)
-    # mirroring needs two row bands of the product
+    # the product is computed in row bands: cover a product with two of them
     assert max(orders) >= 2 * dense._BAND_ROWS

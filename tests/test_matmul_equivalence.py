@@ -1,12 +1,9 @@
 """dense.matmul against a frozen copy of the plain fixed-order loop.
 
-The structure-aware kernel skips +-0 terms and, for a a^T, mirrors one
-triangle; both must leave every bit of every result unchanged.  Results
-are compared as uint64 views, so -0.0 vs +0.0 and NaN payloads count.
+The structure-aware kernel skips +-0 terms, which must leave every bit
+of every result unchanged.  Results are compared as uint64 views, so
+-0.0 vs +0.0 and NaN payloads count.
 """
-
-import dataclasses
-import sys
 
 import numpy as np
 import pytest
@@ -17,6 +14,8 @@ from sympllt.dense import as_matrix
 from sympllt.errors import DimensionError
 from sympllt.symplectic import algorithm_w1, algorithm_w2
 from sympllt.testmat import random_pdp
+
+from support import check_fields, rebind, row_fields
 
 
 def frozen_matmul(a, b, acc=None):
@@ -149,29 +148,9 @@ def test_block_factor_products(n):
 
 def use_kernel(monkeypatch, kernel):
     """Bind ``kernel`` as matmul in every sympllt module that bound it."""
-    original = dense.matmul
-    patched = []
-    for name, module in sorted(sys.modules.items()):
-        if name.split(".")[0] == "sympllt" and getattr(module, "matmul", None) is original:
-            monkeypatch.setattr(module, "matmul", kernel)
-            patched.append(name)
+    patched = rebind(monkeypatch, dense.matmul, kernel)
     assert {"sympllt", "sympllt.dense", "sympllt.symplectic", "sympllt.checks",
             "sympllt.testmat"} <= set(patched)
-
-
-def float_bits(values):
-    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
-
-
-def row_fields(row):
-    fields = dataclasses.astuple(row)
-    return [v for v in fields if not isinstance(v, float)], float_bits(
-        [v for v in fields if isinstance(v, float)])
-
-
-def check_fields(report):
-    return ([(r.bound_id, r.verdict, r.reason, r.context) for r in report.results],
-            float_bits([(r.lhs, r.rhs, r.floor) for r in report.results]))
 
 
 @pytest.mark.parametrize("n", [5, 40, 100])

@@ -27,9 +27,7 @@ from sympllt.symplectic import (BlockPartition, algorithm_w1, algorithm_w2,
                                 distance_to_symplecticity, omega)
 from sympllt.testmat import random_pdp, symmetric_perturbation
 
-
-def bits(a):
-    return np.array(a, dtype=np.float64).view(np.uint64).tolist()
+from support import float_bits as bits
 
 
 def result_bits(results):

@@ -36,6 +36,8 @@ from sympllt.symplectic import BlockPartition
 from sympllt.testmat import (diag_family, hyperbolic_spd, hyperbolic_spd_inverse, minij,
                              pascal_symplectic, random_pdp, symmetric_perturbation)
 
+from support import float_bits as bits, rebind
+
 KINDS = ("cholesky", "reverse-cholesky", "l2-form")
 
 
@@ -136,10 +138,6 @@ def frozen_bounds(p, e):
 
 
 # --- helpers ----------------------------------------------------------------
-
-def bits(values):
-    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
-
 
 def result_bits(results):
     return [(r.bound_id, r.verdict, r.reason, r.context,
@@ -295,11 +293,7 @@ def count_everywhere(monkeypatch, original, tally):
     def counted(*args, **kwargs):
         tally.append(sys._getframe(1).f_code.co_name)
         return original(*args, **kwargs)
-    for name, module in list(sys.modules.items()):
-        if name == "sympllt" or name.startswith("sympllt."):
-            for attr, obj in list(vars(module).items()):
-                if obj is original:
-                    monkeypatch.setattr(module, attr, counted)
+    rebind(monkeypatch, original, counted)
 
 
 def test_run_checks_factors_each_matrix_once(monkeypatch):

@@ -10,7 +10,6 @@ diagnostics field and every check verdict must stay as it was.
 
 import dataclasses
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -22,6 +21,8 @@ from sympllt.diagnostics import standard_fixtures
 from sympllt.errors import DimensionError, InvalidEntryError
 from sympllt.symplectic import algorithm_w1, algorithm_w2
 from sympllt.testmat import random_pdp
+
+from support import float_bits, rebind
 
 REL_TOL = 1e-13
 OMEGA_FIELDS = ("omega_A", "omega_L1", "omega_L2")
@@ -85,18 +86,9 @@ def test_non_symmetric_norms_known_values(a, norm):
 
 def use_norm(monkeypatch, kernel):
     """Bind ``kernel`` as spectral_norm in every sympllt module that bound it."""
-    original = dense.spectral_norm
-    patched = []
-    for name, module in sorted(sys.modules.items()):
-        if name.split(".")[0] == "sympllt" and getattr(module, "spectral_norm", None) is original:
-            monkeypatch.setattr(module, "spectral_norm", kernel)
-            patched.append(name)
+    patched = rebind(monkeypatch, dense.spectral_norm, kernel)
     assert {"sympllt", "sympllt.dense", "sympllt.symplectic", "sympllt.checks",
             "sympllt.diagnostics"} <= set(patched)
-
-
-def float_bits(values):
-    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
 
 
 def test_run_checks_verdicts_unchanged(monkeypatch):

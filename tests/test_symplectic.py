@@ -166,7 +166,7 @@ def test_factorizations_propagate_pivot_errors():
 
 def test_schur_complement_minij():
     p = minij_partition()
-    assert np.array_equal(p.shared[1], np.ones((2, 2)))
+    assert np.array_equal(p.l21, np.ones((2, 2)))
     assert np.array_equal(p.schur, np.array([[1.0, 1.0], [1.0, 2.0]]))
 
 

@@ -201,8 +201,8 @@ def test_random_pdp_caches_its_leading_block_factors(n):
     for name in ("l11", "l11_inv_t", "inv_a11"):
         assert cached[name].tobytes() == getattr(fresh, name).tobytes(), name
         assert not cached[name].flags.writeable, name
-    # the w1 factor and both shared tuples hand out the very same arrays
-    assert p.shared[0] is p.l11 and p.w2.l11 is p.l11
+    # both factors hand out the partition's very own arrays
+    assert p.w1.l11 is p.l11 and p.w2.l11 is p.l11
     assert p.w1.l22 is p.l11_inv_t
     assert p.w1._shares_blocks(p) and p.w2._shares_blocks(p)
     for f, g in ((p.w1, fresh.w1), (p.w2, fresh.w2)):
