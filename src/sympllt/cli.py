@@ -12,8 +12,8 @@ import sys
 import numpy as np
 
 from . import diagnostics, matio
-from .errors import (DimensionError, DomainError, FactorError, InvalidEntryError,
-                     ParseError, SingularError, SympLLTError, UsageError)
+from .errors import (DimensionError, DomainError, InvalidEntryError, ParseError,
+                     SympLLTError, UsageError)
 from .symplectic import BlockPartition, algorithm_w1, algorithm_w2
 
 USAGE_EXIT = 2
@@ -54,7 +54,7 @@ def _build_parser():
     tab.add_argument("--csv")
 
     sweep = sub.add_parser("sweep", help="diagnostics over a range of sizes")
-    sweep.add_argument("--family", default="random", choices=diagnostics.SWEEP_FAMILIES)
+    sweep.add_argument("--family", default="random", choices=list(diagnostics.SWEEP_FAMILIES))
     sweep.add_argument("--from", dest="n_from", type=int, required=True)
     sweep.add_argument("--to", dest="n_to", type=int, required=True)
     sweep.add_argument("--seed", type=int, default=0)
@@ -71,9 +71,10 @@ def _build_parser():
 def _require_writable(path):
     """Raise OSError now if an --out or --csv ``path`` cannot be written.
 
-    Checked before the work, so a run that cannot save its result fails at
-    once.  Opens the file a symlink points to for appending, which leaves
-    an existing file as it is, and removes that file again if this made it.
+    ``main`` checks each one given before any command runs, so a run that
+    cannot save its result fails at once.  Opens the file a symlink points
+    to for appending, which leaves an existing file as it is, and removes
+    that file again if this made it.
     """
     real = os.path.realpath(path)
     existed = os.path.exists(real)
@@ -84,7 +85,6 @@ def _require_writable(path):
 
 
 def _cmd_gen(args):
-    _require_writable(args.out)  # generating is the work: before it
     p, _ = diagnostics.generate_family(args.family, **vars(args))
     matio.write_matrix(args.out, p.assemble())
     return 0
@@ -93,7 +93,6 @@ def _cmd_gen(args):
 def _cmd_factor(args):
     a = matio.read_matrix(args.infile)
     p = BlockPartition.from_matrix(a)
-    _require_writable(args.out)  # after the input checks, before the work
     f = algorithm_w1(p) if args.alg == "w1" else algorithm_w2(p)
     matio.write_matrix(args.out, f.assemble())
     return 0
@@ -108,8 +107,6 @@ def _cmd_diagnose(args):
         family = args.family
     else:
         raise UsageError("diagnose needs --family or --in")
-    if args.csv:
-        _require_writable(args.csv)  # after the argument checks, before the work
     row = diagnostics.diagnose(p, family, param)
     print(diagnostics.format_table([row]))
     if args.csv:
@@ -121,8 +118,6 @@ def _cmd_diagnose(args):
 
 
 def _cmd_table(args):
-    if args.csv:
-        _require_writable(args.csv)
     rows = diagnostics.run_table(args.id)
     print(diagnostics.format_table(rows, title=f"table {args.id}"))
     if args.csv:
@@ -131,8 +126,6 @@ def _cmd_table(args):
 
 
 def _cmd_sweep(args):
-    diagnostics._sweep_range(args.n_from, args.n_to)
-    _require_writable(args.csv)  # after the argument check, before the work
     rows = diagnostics.run_sweep(args.family, args.n_from, args.n_to, args.seed)
     diagnostics.write_csv(args.csv, rows)
     bad = [r for r in rows if not r.ok]
@@ -162,6 +155,9 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        for path in (vars(args).get("out"), vars(args).get("csv")):
+            if path is not None:
+                _require_writable(path)
         # an overflow is reported by the exit code and the error line, so
         # numpy need not warn of it (reading an --in file, for instance)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -172,7 +168,7 @@ def main(argv=None):
         # that cannot be written (missing, a directory, no permission)
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (FactorError, SingularError, SympLLTError) as exc:
+    except SympLLTError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT
 

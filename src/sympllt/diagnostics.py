@@ -3,7 +3,7 @@ size sweeps, and the aggregated bound-check suite."""
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -21,6 +21,8 @@ from .dense import spectral_norm
 from .errors import FactorError, InvalidEntryError, SingularError, UsageError
 from .symplectic import BlockPartition
 from .testmat import (
+    PASCAL_MAX_N,
+    RANDOM_MAX_N,
     diag_family,
     minij,
     pascal_symplectic,
@@ -43,23 +45,14 @@ FAMILIES = {
     "diagt": (lambda t, theta, **_: BlockPartition.from_matrix(diag_family(t, theta)[1]), "t"),
     "random": (lambda n, seed, **_: random_pdp(n, seed), "n"),
 }
-# the families a size sweep runs over, indexed by n
-SWEEP_FAMILIES = ("random", "pascal")
+# the families a size sweep runs over, indexed by n, with the largest n of each
+SWEEP_FAMILIES = {"random": RANDOM_MAX_N, "pascal": PASCAL_MAX_N}
 
 
 def generate_family(name, **args):
     """(BlockPartition, param) of the named family; see FAMILIES."""
     make, param = FAMILIES[name]
     return make(**args), (args[param] if param else 0.0)
-
-
-TABLE_QUANTITIES = [
-    "kappa2_A", "norm2_A", "kappa2_A11", "norm2_A11", "norm2_invA11",
-    "dist_sympl", "dist_sympl_rel", "relerr_w1", "relerr_w2",
-    "omega_A", "omega_L1", "omega_L2",
-]
-
-CSV_COLUMNS = ["family", "param", "n", *TABLE_QUANTITIES, "error"]
 
 
 @dataclass(frozen=True)
@@ -84,6 +77,11 @@ class DiagnosticsRow:
     @property
     def ok(self):
         return not self.error
+
+
+_FIELDS = fields(DiagnosticsRow)
+CSV_COLUMNS = [f.name for f in _FIELDS]
+TABLE_QUANTITIES = CSV_COLUMNS[3:-1]  # the fields after family, param, n; before error
 
 
 def diagnose(a, family="custom", param=0.0):
@@ -159,49 +157,43 @@ def run_sweep(family, n_from, n_to, seed=0):
     reproducible from its single seed.  Factorization failures mark their
     row and the sweep continues.
     """
-    sizes = _sweep_range(n_from, n_to)
     if family not in SWEEP_FAMILIES:
         raise UsageError(f"run_sweep: unsupported family {family!r}")
-    return [_family_row(family, n=n, seed=seed + n) for n in sizes]
-
-
-def _sweep_range(n_from, n_to):
-    if n_from > n_to or n_from < 1:
-        raise UsageError(f"run_sweep: bad range {n_from}..{n_to}")
-    return range(n_from, n_to + 1)
+    if not 1 <= n_from <= n_to <= SWEEP_FAMILIES[family]:
+        raise UsageError(f"run_sweep: bad range {n_from}..{n_to}"
+                         f" ({family} takes n in 1..{SWEEP_FAMILIES[family]})")
+    return [_family_row(family, n=n, seed=seed + n) for n in range(n_from, n_to + 1)]
 
 
 def write_csv(path, rows):
+    """One header line, then one record per row: float fields as Python's
+    shortest round-tripping repr, the other fields as str."""
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for row in rows:
-            record = []
-            for name in CSV_COLUMNS:
-                value = getattr(row, name)
-                if name in ("family", "error"):
-                    record.append(value)
-                elif name == "n":
-                    record.append(str(value))
-                else:
-                    record.append(repr(float(value)))
-            writer.writerow(record)
+            writer.writerow([repr(float(getattr(row, f.name))) if f.type is float
+                             else str(getattr(row, f.name)) for f in _FIELDS])
 
 
 def read_csv(path):
+    """The rows of a ``write_csv`` file, bitwise.  A wrong or missing header,
+    a record of the wrong length or a field its type cannot parse raises
+    UsageError naming the line."""
     rows = []
     with open(path, newline="", encoding="ascii") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header != CSV_COLUMNS:
-            raise UsageError(f"unexpected CSV header {header!r}")
+            raise UsageError(f"line 1: unexpected CSV header {header!r}")
         for record in reader:
-            kw = dict(zip(CSV_COLUMNS, record))
-            kw["param"] = float(kw["param"])
-            kw["n"] = int(kw["n"])
-            for name in TABLE_QUANTITIES:
-                kw[name] = float(kw[name])
-            rows.append(DiagnosticsRow(**kw))
+            if len(record) != len(CSV_COLUMNS):
+                raise UsageError(f"line {reader.line_num}: expected "
+                                 f"{len(CSV_COLUMNS)} fields, got {len(record)}")
+            try:
+                rows.append(DiagnosticsRow(*(f.type(v) for f, v in zip(_FIELDS, record))))
+            except ValueError as exc:
+                raise UsageError(f"line {reader.line_num}: {exc}") from None
     return rows
 
 

@@ -10,11 +10,19 @@ write -> read is lossless.
 import numpy as np
 
 from .dense import as_matrix
-from .errors import ParseError
+from .errors import DimensionError, InvalidEntryError, ParseError
 
 
 def write_matrix(path, a, comment=None):
+    """Write ``a`` so that ``read_matrix`` reads it back bitwise.  A matrix
+    that reading would reject, one with no entries (DimensionError) or a
+    NaN or infinite entry (InvalidEntryError), raises before the file is
+    opened."""
     a = as_matrix(a)
+    if a.size == 0:
+        raise DimensionError(f"write_matrix: a matrix of shape {a.shape} has no entries")
+    if not np.isfinite(a).all():
+        raise InvalidEntryError("write_matrix: NaN or infinite entry")
     with open(path, "w", encoding="ascii") as fh:
         if comment:
             for line in str(comment).splitlines():

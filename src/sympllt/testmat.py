@@ -177,11 +177,10 @@ def pascal_symplectic(n):
 
     g is the flipped Pascal matrix; its inverse is computed in exact
     integer arithmetic, so omega of the assembled matrix is the zero
-    matrix bitwise.  Limited to n <= 16 so every entry stays well below
-    2^53.
+    matrix bitwise.  n is limited to 1..PASCAL_MAX_N.
     """
-    if not 1 <= n <= 16:
-        raise DomainError(f"pascal_symplectic: n must be in 1..16, got {n}")
+    if not 1 <= n <= PASCAL_MAX_N:
+        raise DomainError(f"pascal_symplectic: n must be in 1..{PASCAL_MAX_N}, got {n}")
     g_int = _pascal_int(n)
     ginv_int = _pascal_inverse_int(n)
     flip = lambda m: [row[::-1] for row in m[::-1]]
@@ -238,6 +237,8 @@ def pdp_assemble(g, h):
 # the largest n random_pdp makes (order 2000): generation time grows as n^3
 # and memory, with the normals held as Python floats, as n^2
 RANDOM_MAX_N = 1000
+# the largest n pascal_symplectic makes: every entry stays well below 2^53
+PASCAL_MAX_N = 16
 
 
 def random_pdp(n, seed):

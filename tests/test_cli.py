@@ -190,12 +190,18 @@ def test_usage_error_exit_code():
     ["sweep", "--from", "0", "--to", "3"],
     ["gen", "--family", "random", "--n", "1000000"],
     ["diagnose", "--family", "random", "--n", "1001"],
+    ["sweep", "--family", "pascal", "--from", "1", "--to", "17"],
+    ["sweep", "--from", "999", "--to", "1001"],
 ])
-def test_out_of_range_family_argument_is_usage_error(tmp_path, capsys, args):
-    # a bad argument leaves no file: gen's probe of --out removes what it made
+def test_out_of_range_family_argument_is_usage_error(tmp_path, capsys, monkeypatch, args):
+    # a bad argument leaves no file: the probe of --out/--csv removes what it
+    # made; and no row is computed, not even the rows of a sweep below its limit
+    calls = []
+    monkeypatch.setattr(diagnostics, "diagnose", lambda *a: calls.append(a))
     out = tmp_path / "x.mat"
     args = [*args, "--out" if args[0] == "gen" else "--csv", str(out)]
     assert main(args) == 2
+    assert calls == []
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err and "numerical failure" not in err
@@ -233,10 +239,11 @@ def _digit_separator_file(tmp_path):
     lambda tmp: ["table", "--id", "3", "--csv", str(tmp / "no-dir" / "t.csv")],
     lambda tmp: ["sweep", "--from", "1", "--to", "2", "--csv", str(tmp / "no-dir" / "s.csv")],
     lambda tmp: ["diagnose", "--in", str(_digit_separator_file(tmp))],
+    lambda tmp: ["table", "--id", "1", "--csv", ""],
 ], ids=["diagnose-missing", "diagnose-directory", "diagnose-non-ascii",
         "diagnose-oversized-rows", "diagnose-oversized-cols", "factor-missing",
         "gen-out-dir-missing", "diagnose-csv-dir-missing", "table-csv-dir-missing",
-        "sweep-csv-dir-missing", "diagnose-digit-separator"])
+        "sweep-csv-dir-missing", "diagnose-digit-separator", "table-csv-empty"])
 def test_file_errors_are_usage_errors(tmp_path, capsys, monkeypatch, make_args):
     # a file that cannot be read or written ends the run before any work
     calls = []
@@ -292,6 +299,40 @@ def test_unwritable_out_fails_before_the_work(tmp_path, capsys, monkeypatch, com
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["gen", "factor", "diagnose-family", "diagnose-in",
+                                     "table", "sweep"])
+def test_each_output_path_is_checked_once_before_the_work(tmp_path, monkeypatch, command):
+    from sympllt import cli
+
+    calls = []
+
+    def recorded(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    src = tmp_path / "a.mat"
+    matio.write_matrix(src, minij())
+    out = str(tmp_path / "out")
+    args = {
+        "gen": ["gen", "--family", "minij", "--out", out],
+        "factor": ["factor", "--alg", "w2", "--in", str(src), "--out", out],
+        "diagnose-family": ["diagnose", "--family", "minij", "--csv", out],
+        "diagnose-in": ["diagnose", "--in", str(src), "--csv", out],
+        "table": ["table", "--id", "3", "--csv", out],
+        "sweep": ["sweep", "--from", "1", "--to", "2", "--csv", out],
+    }[command]
+    monkeypatch.setattr(cli, "_require_writable",
+                        recorded("require_writable", cli._require_writable))
+    monkeypatch.setattr(matio, "read_matrix", recorded("read_matrix", matio.read_matrix))
+    monkeypatch.setattr(diagnostics, "generate_family",
+                        recorded("generate_family", diagnostics.generate_family))
+    monkeypatch.setattr(diagnostics, "diagnose", recorded("diagnose", diagnostics.diagnose))
+    assert main(args) == 0
+    assert calls[0] == "require_writable"
+    assert calls.count("require_writable") == 1
+    assert len(calls) > 1
+    assert os.path.getsize(out) > 0
 
 
 def test_out_check_leaves_an_existing_file_until_the_write(tmp_path):

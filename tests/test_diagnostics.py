@@ -155,6 +155,11 @@ def test_sweep_rejects_bad_arguments():
         run_sweep("random", 5, 1)
     with pytest.raises(UsageError):
         run_sweep("hilbert", 1, 3)
+    # past the family's largest n: raised before the first row
+    with pytest.raises(UsageError, match=r"pascal takes n in 1\.\.16"):
+        run_sweep("pascal", 1, 17)
+    with pytest.raises(UsageError, match=r"random takes n in 1\.\.1000"):
+        run_sweep("random", 999, 1001)
 
 
 def test_csv_round_trip_bitwise(tmp_path):
@@ -241,6 +246,40 @@ def test_csv_keeps_the_failure_message(tmp_path):
     assert [r.ok for r in back] == [False, True]
     assert back[0].error == failed.error
     assert all(rows_equal_bitwise(a, b) for a, b in zip(rows, back))
+
+
+def _csv_with_record(tmp_path, record):
+    rows = [diagnose(np.eye(4), "identity", 0.0)]
+    path = tmp_path / "rows.csv"
+    write_csv(path, rows)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0], lines[1], record(lines[1])]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("record, message", [
+    (lambda good: good + ",extra", "line 3: expected 16 fields, got 17"),
+    (lambda good: good.rsplit(",", 2)[0], "line 3: expected 16 fields, got 14"),
+    (lambda good: "", "line 3: expected 16 fields, got 0"),
+    (lambda good: good.replace("identity,0.0,2,", "identity,0.0,two,", 1),
+     "line 3: invalid literal for int() with base 10: 'two'"),
+    (lambda good: good.replace("identity,0.0,", "identity,zero,", 1),
+     "line 3: could not convert string to float: 'zero'"),
+], ids=["extra-field", "short-record", "blank-line", "non-integer-n", "non-numeric-param"])
+def test_read_csv_rejects_a_malformed_record_naming_its_line(tmp_path, record, message):
+    path = _csv_with_record(tmp_path, record)
+    with pytest.raises(UsageError) as err:
+        read_csv(path)
+    assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("content", ["", "family,param\n", "\n"],
+                         ids=["empty", "short-header", "blank-header"])
+def test_read_csv_rejects_a_missing_or_wrong_header(tmp_path, content):
+    path = tmp_path / "rows.csv"
+    path.write_text(content)
+    with pytest.raises(UsageError, match="^line 1: unexpected CSV header"):
+        read_csv(path)
 
 
 def test_format_table_layout():

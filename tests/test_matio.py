@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sympllt import ParseError, read_matrix, write_matrix
+from sympllt import DimensionError, InvalidEntryError, ParseError, read_matrix, write_matrix
 from sympllt.testmat import minij, random_pdp, standard_normal_matrix, hyperbolic_spd
 
 
@@ -131,3 +131,18 @@ def test_non_ascii_byte_names_its_line(tmp_path, content, line):
     with pytest.raises(ParseError) as err:
         read_matrix(path)
     assert err.value.line == line and "non-ASCII byte" in str(err.value)
+
+
+@pytest.mark.parametrize("a, error", [
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), InvalidEntryError),
+    (np.array([[np.inf]]), InvalidEntryError),
+    (np.array([[1.0, -np.inf, 0.0]]), InvalidEntryError),
+    (np.zeros((0, 3)), DimensionError),
+    (np.zeros((3, 0)), DimensionError),
+], ids=["nan", "inf", "minus-inf", "no-rows", "no-columns"])
+def test_write_refuses_what_read_rejects(tmp_path, a, error):
+    # read_matrix would reject this file, so none is made
+    path = tmp_path / "bad.mat"
+    with pytest.raises(error):
+        write_matrix(path, a)
+    assert not path.exists()
