@@ -76,7 +76,7 @@ def check_w2_backward(p, l22_perturbation=0.0):
     f = p.w2
     if l22_perturbation:
         f = replace(f, l22=f.l22 * (1.0 + l22_perturbation))
-    lhs = spectral_norm(f.residual(p))
+    lhs = spectral_norm(f.residual())
     rhs = 4.0 * n * gamma(n + 2) * p.norm
     return BoundCheckResult.compare("w2-backward", lhs, rhs, 0.0, 0.0)
 
@@ -90,7 +90,7 @@ def check_w1_error_bound(p):
     number of the leading block and g = gamma_{n+1}.
     """
     n = p.n
-    lhs = spectral_norm(p.w1.residual(p))
+    lhs = spectral_norm(p.w1.residual())
     k11 = p.kappa_a11
     g = gamma(n + 1)
     rhs = p.dist * (1.0 + 3.0 * n * g * k11) + 8.0 * n * g * k11 * p.norm
@@ -111,9 +111,8 @@ def check_omega_factor_bounds(p):
     are pure rounding noise at that scale.
     """
     n = p.n
-    f1, f2 = p.w1, p.w2
-    omega_l1 = spectral_norm(f1.omega(p))
-    omega_2 = f2.omega(p)
+    omega_l1 = spectral_norm(p.w1.omega())
+    omega_2 = p.w2.omega()
     omega_l2 = spectral_norm(omega_2)
     # l11^T u22 - I is the (1,2) block of omega(L2): both factors share l11
     mix = spectral_norm(omega_2[:n, n:])
@@ -125,7 +124,7 @@ def check_omega_factor_bounds(p):
         BoundCheckResult.compare("omega-factor-ordering", omega_l2,
                                  omega_l1 + mix, SLACK, floor),
     ]
-    sim = matmul(matmul(np.ascontiguousarray(f1.l11.T), -p.drift), f1.l11)
+    sim = matmul(matmul(np.ascontiguousarray(p.l11.T), -p.drift), p.l11)
     rho = spectral_norm(0.5 * (sim + sim.T))
     if rho > 0.5:
         results.append(BoundCheckResult.skip(

@@ -99,14 +99,14 @@ def _cmd_factor(args):
 
 
 def _cmd_diagnose(args):
+    if bool(args.infile) == bool(args.family):
+        raise UsageError("diagnose takes exactly one of --family and --in")
     if args.infile:
         p = BlockPartition.from_matrix(matio.read_matrix(args.infile))
         family, param = "file", 0.0
-    elif args.family:
+    else:
         p, param = diagnostics.generate_family(args.family, **vars(args))
         family = args.family
-    else:
-        raise UsageError("diagnose needs --family or --in")
     row = diagnostics.diagnose(p, family, param)
     print(diagnostics.format_table([row]))
     if args.csv:

@@ -19,6 +19,7 @@ from .checks import (
 )
 from .dense import spectral_norm
 from .errors import FactorError, InvalidEntryError, SingularError, UsageError
+from .matio import _non_ascii_error
 from .symplectic import BlockPartition
 from .testmat import (
     PASCAL_MAX_N,
@@ -111,10 +112,10 @@ def diagnose(a, family="custom", param=0.0):
             values["norm2_invA11"] = p.norm_inv_a11
             values["dist_sympl"] = p.dist
             values["dist_sympl_rel"] = p.dist / p.norm
-            values["relerr_w1"] = spectral_norm(f1.residual(p)) / p.norm
-            values["relerr_w2"] = spectral_norm(f2.residual(p)) / p.norm
-            values["omega_L1"] = spectral_norm(f1.omega(p))
-            values["omega_L2"] = spectral_norm(f2.omega(p))
+            values["relerr_w1"] = spectral_norm(f1.residual()) / p.norm
+            values["relerr_w2"] = spectral_norm(f2.residual()) / p.norm
+            values["omega_L1"] = spectral_norm(f1.omega())
+            values["omega_L2"] = spectral_norm(f2.omega())
         except (FactorError, SingularError) as exc:
             error = str(exc)
         except InvalidEntryError:
@@ -165,35 +166,48 @@ def run_sweep(family, n_from, n_to, seed=0):
     return [_family_row(family, n=n, seed=seed + n) for n in range(n_from, n_to + 1)]
 
 
+def _record(row):
+    # a row's CSV fields: floats as Python's shortest round-tripping repr,
+    # the other fields as str
+    return [repr(float(getattr(row, f.name))) if f.type is float
+            else str(getattr(row, f.name)) for f in _FIELDS]
+
+
 def write_csv(path, rows):
-    """One header line, then one record per row: float fields as Python's
-    shortest round-tripping repr, the other fields as str."""
+    """One header line, then one record per row (see _record)."""
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([repr(float(getattr(row, f.name))) if f.type is float
-                             else str(getattr(row, f.name)) for f in _FIELDS])
+        writer.writerows(_record(row) for row in rows)
 
 
 def read_csv(path):
-    """The rows of a ``write_csv`` file, bitwise.  A wrong or missing header,
-    a record of the wrong length or a field its type cannot parse raises
-    UsageError naming the line."""
+    """The rows of a ``write_csv`` file, bitwise.  A non-ASCII byte, a wrong
+    or missing header, a record of the wrong length, or a field its type
+    cannot parse or that is not written as ``write_csv`` writes its value
+    raises UsageError naming the line."""
     rows = []
-    with open(path, newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header != CSV_COLUMNS:
-            raise UsageError(f"line 1: unexpected CSV header {header!r}")
-        for record in reader:
-            if len(record) != len(CSV_COLUMNS):
-                raise UsageError(f"line {reader.line_num}: expected "
-                                 f"{len(CSV_COLUMNS)} fields, got {len(record)}")
-            try:
-                rows.append(DiagnosticsRow(*(f.type(v) for f, v in zip(_FIELDS, record))))
-            except ValueError as exc:
-                raise UsageError(f"line {reader.line_num}: {exc}") from None
+    try:
+        with open(path, newline="", encoding="ascii") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            if header != CSV_COLUMNS:
+                raise UsageError(f"line 1: unexpected CSV header {header!r}")
+            for record in reader:
+                if len(record) != len(CSV_COLUMNS):
+                    raise UsageError(f"line {reader.line_num}: expected "
+                                     f"{len(CSV_COLUMNS)} fields, got {len(record)}")
+                try:
+                    row = DiagnosticsRow(*(f.type(v) for f, v in zip(_FIELDS, record)))
+                except ValueError as exc:
+                    raise UsageError(f"line {reader.line_num}: {exc}") from None
+                for name, got, want in zip(CSV_COLUMNS, record, _record(row)):
+                    if got != want:
+                        raise UsageError(f"line {reader.line_num}: {name} field "
+                                         f"{got!r} is not written as {want!r}")
+                rows.append(row)
+    except UnicodeDecodeError:
+        raise UsageError(str(_non_ascii_error(path))) from None
     return rows
 
 

@@ -120,7 +120,8 @@ def upper_substitute(up, b):
 
 
 def spd_solve(a, b):
-    """Solve a * X = b for symmetric positive definite ``a`` via Cholesky."""
+    """Solve a * X = b for symmetric positive definite ``a`` via Cholesky;
+    the reference definition BlockPartition.coupling is tested bitwise against."""
     low = cholesky_lower(a)
     y = forward_substitute(low, b)
     return upper_substitute(np.ascontiguousarray(low.T), y)
@@ -129,8 +130,9 @@ def spd_solve(a, b):
 def spd_inverse(a):
     """Inverse of a symmetric positive definite matrix, exactly symmetric.
 
-    Formed as L^-T L^-1 from the triangular inverse; the fixed product
-    order makes the result bitwise symmetric.
+    Formed as L^-T L^-1 from the triangular inverse; the fixed product order
+    makes the result bitwise symmetric.  The reference definition
+    BlockPartition.inv_a11 and norm_inv are tested bitwise against.
     """
     low = cholesky_lower(a)
     linv = lower_triangular_inverse(low)

@@ -39,7 +39,7 @@ def _read_only(a):
 class BlockPartition:
     """A symmetric 2n x 2n matrix stored as blocks (a21 is implicitly a12^T).
 
-    Factors, intermediates and the per-matrix scalars are computed on first
+    Factor blocks, intermediates and the per-matrix scalars are computed on first
     use and cached, arrays as read-only; a block must not change once a
     cached value that reads it has been read.  ``l11``, ``l11_inv_t`` and
     ``inv_a11`` read only a11, which lets pdp_assemble fill a22 after
@@ -120,7 +120,9 @@ class BlockPartition:
     @cached_property
     def omega11(self):
         """The (1,1) block of omega(L), l11^T l21 - l21^T l11, shared by w1 and w2."""
-        return _read_only(_omega11(self.l11, self.l21))
+        l11, l21 = self.l11, self.l21
+        l11t_l21 = matmul(np.ascontiguousarray(l11.T), l21)
+        return _read_only(matmul(np.ascontiguousarray(l21.T), -l11, l11t_l21))
 
     @cached_property
     def schur(self):
@@ -128,13 +130,13 @@ class BlockPartition:
         s = self.a22 - self._l21_outer
         return _read_only(0.5 * (s + s.T))
 
-    @cached_property
-    def w1(self):
-        return algorithm_w1(self)
-
-    @cached_property
-    def w2(self):
-        return algorithm_w2(self)
+    # Each algorithm runs once, but the partition keeps only its l22: a cached
+    # factor would hold the partition that holds it, and that cycle would keep
+    # every cached array alive after the last reference until a gc pass.
+    _w1_l22 = cached_property(lambda self: algorithm_w1(self).l22)
+    _w2_l22 = cached_property(lambda self: algorithm_w2(self).l22)
+    w1 = property(lambda self: BlockFactor(self, self._w1_l22, "w1"))
+    w2 = property(lambda self: BlockFactor(self, self._w2_l22, "w2"))
 
     @cached_property
     def coupling(self):
@@ -205,24 +207,22 @@ class BlockPartition:
 
 @dataclass(frozen=True)
 class BlockFactor:
-    """Factor L = [l11 0; l21 l22] with l11 lower and l22 upper triangular."""
+    """Factor L = [l11 0; l21 l22] of partition p: l11, l21 are p's; l22 upper triangular."""
 
-    n: int
-    l11: np.ndarray
-    l21: np.ndarray
+    p: BlockPartition
     l22: np.ndarray
     algorithm: str  # 'w1' | 'w2'
 
     def assemble(self):
-        n = self.n
+        n = self.p.n
         out = np.zeros((2 * n, 2 * n))
-        out[:n, :n] = self.l11
-        out[n:, :n] = self.l21
+        out[:n, :n] = self.p.l11
+        out[n:, :n] = self.p.l21
         out[n:, n:] = self.l22
         return out
 
-    def residual(self, p):
-        """a - L L^T against the partition the factor came from.
+    def residual(self):
+        """a - L L^T against the partition the factor belongs to.
 
         L L^T = [l11 l11^T, l11 l21^T; l21 l11^T, l21 l21^T + l22 l22^T] is
         formed block by block, the (2,2) block by continuing the sums of
@@ -230,11 +230,8 @@ class BlockFactor:
         the full product ``matmul(L, L^T)`` in the same order and only skips
         products with the zero block, so the result is bitwise the same.
         """
-        n, l11, l21, l22 = self.n, self.l11, self.l21, self.l22
-        if self._shares_blocks(p):
-            g11, g21, g22 = p.gram
-        else:
-            g11, g21, g22 = _outer(l11, l11), _outer(l21, l11), _outer(l21, l21)
+        p, n, l22 = self.p, self.p.n, self.l22
+        g11, g21, g22 = p.gram
         g22 = matmul(l22, np.ascontiguousarray(l22.T), g22)
         out = np.empty((2 * n, 2 * n))
         out[:n, :n] = p.a11 - g11
@@ -243,7 +240,7 @@ class BlockFactor:
         out[n:, n:] = p.a22 - g22
         return out
 
-    def omega(self, p):
+    def omega(self):
         """omega(L) = L^T J L - J, bitwise ``omega(self.assemble())``.
 
         J L = [l21 l22; -l11 0], so L^T J L = [o11, o12; l22^T (-l11), 0]
@@ -252,29 +249,18 @@ class BlockFactor:
         the same order.  l22^T (-l11) sums o12^T's products negated, and a
         zero sum is +0.0 in both, so it is bitwise 0.0 - o12^T.
         """
-        n = self.n
-        o11 = p.omega11 if self._shares_blocks(p) else _omega11(self.l11, self.l21)
-        o12 = matmul(np.ascontiguousarray(self.l11.T), self.l22)
+        p, n = self.p, self.p.n
+        o12 = matmul(np.ascontiguousarray(p.l11.T), self.l22)
         out = np.zeros((2 * n, 2 * n))
-        out[:n, :n] = o11
+        out[:n, :n] = p.omega11
         out[:n, n:] = o12
         out[n:, :n] = 0.0 - o12.T
         return out - structure_matrix(n)
-
-    def _shares_blocks(self, p):
-        # p's cached products apply when this factor holds p's own l11 and
-        # l21; a partition that has not factored itself is not factored here
-        return self.l21 is vars(p).get("l21") and self.l11 is p.l11
 
 
 def _outer(x, y):
     # x y^T with the fixed-order product
     return matmul(x, np.ascontiguousarray(y.T))
-
-
-def _omega11(l11, l21):
-    l11t_l21 = matmul(np.ascontiguousarray(l11.T), l21)
-    return matmul(np.ascontiguousarray(l21.T), -l11, l11t_l21)
 
 
 def structure_matrix(n):
@@ -338,28 +324,24 @@ def algorithm_w1(p):
     In exact arithmetic L L^T reproduces the input only up to a block
     diagonal correction whose (2,2) block is inv(a11) - schur(a11).
     """
-    return BlockFactor(n=p.n, l11=p.l11, l21=p.l21, l22=p.l11_inv_t, algorithm="w1")
+    return BlockFactor(p, p.l11_inv_t, "w1")
 
 
 def algorithm_w2(p):
-    """Backward-stable factorization: l22 from the Schur complement.
-
-    l11 and l21 are the partition's own blocks, the same read-only arrays
-    algorithm_w1 returns; l22 is the Reverse Cholesky factor of the Schur
-    complement a22 - l21 l21^T.
-    """
+    """Backward-stable factorization: l22 is the Reverse Cholesky factor of
+    the Schur complement a22 - l21 l21^T."""
     l22 = reverse_cholesky_upper(p.schur, stage="schur-complement reverse-cholesky")
-    return BlockFactor(n=p.n, l11=p.l11, l21=p.l21, l22=_read_only(l22), algorithm="w2")
+    return BlockFactor(p, _read_only(l22), "w2")
 
 
 def distance_to_symplecticity(f, p):
     """``p.dist`` = ||inv(a11) - schur(a11)||, which governs the w1 error.
 
-    ``f`` must be a w1 factor holding p's own l11 and l21: p.w1 or algorithm_w1(p).
+    ``f`` must be a w1 factor of p itself: p.w1 or algorithm_w1(p).
     """
-    if f.algorithm != "w1" or not f._shares_blocks(p):
-        raise UsageError("distance_to_symplecticity needs a w1 factor holding "
-                         f"p's own l11 and l21, got a {f.algorithm!r} factor")
+    if f.algorithm != "w1" or f.p is not p:
+        raise UsageError("distance_to_symplecticity needs a w1 factor of p, "
+                         f"got a {f.algorithm!r} factor")
     return p.dist
 
 

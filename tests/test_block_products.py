@@ -3,7 +3,7 @@
 ``BlockFactor.residual`` and ``BlockFactor.omega`` build a - L L^T and
 L^T J L - J from the blocks of L = [l11 0; l21 l22], and take the blocks
 w1 and w2 share (l11 l11^T, l21 l11^T, l21 l21^T and the (1,1) block of
-omega(L)) from the partition's cache.  The frozen full-product forms below
+omega(L)) from the cache of the partition the factor holds.  The frozen full-product forms below
 are the definitions they replace; every result must match them bit for
 bit, compared as uint64 views so -0.0 vs +0.0 counts.
 """
@@ -23,13 +23,13 @@ from sympllt.testmat import hyperbolic_spd, random_pdp
 from support import check_fields, float_bits, rebind, row_fields
 
 
-def frozen_residual(f, p):
+def frozen_residual(f):
     """a - L L^T from the full 2n x 2n product."""
     lmat = f.assemble()
-    return p.assemble() - matmul(lmat, lmat.T)
+    return f.p.assemble() - matmul(lmat, lmat.T)
 
 
-def frozen_omega(f, p):
+def frozen_omega(f):
     """omega(L) from the full 2n x 2n product."""
     return omega(f.assemble())
 
@@ -51,9 +51,9 @@ def assert_same_bits(got, want):
     assert np.array_equal(bits(got), bits(want))
 
 
-def assert_block_forms(f, p):
-    assert_same_bits(f.residual(p), frozen_residual(f, p))
-    assert_same_bits(f.omega(p), frozen_omega(f, p))
+def assert_block_forms(f):
+    assert_same_bits(f.residual(), frozen_residual(f))
+    assert_same_bits(f.omega(), frozen_omega(f))
 
 
 def with_negative_zeros(a):
@@ -139,7 +139,7 @@ SIZES = [*range(1, 41), 63, 64, 65, 100, 200]
 def test_random_factors(n):
     p = random_pdp(n, n)
     for f in (p.w1, p.w2):
-        assert_block_forms(f, p)
+        assert_block_forms(f)
 
 
 FIXTURES = standard_fixtures()
@@ -148,51 +148,31 @@ FIXTURES = standard_fixtures()
 @pytest.mark.parametrize("name,p", FIXTURES, ids=[name for name, _ in FIXTURES])
 def test_fixture_factors(name, p):
     for f in (p.w1, p.w2):
-        assert_block_forms(f, p)
+        assert_block_forms(f)
     f = dataclasses.replace(p.w2, l22=p.w2.l22 * (1.0 + 1e-3))
-    assert_block_forms(f, p)
-
-
-@pytest.mark.parametrize("n", [3, 64, 100])
-def test_factors_not_holding_the_cached_blocks(n):
-    p = random_pdp(n, 50 + n)
-    copy = BlockFactor(n=n, l11=p.w2.l11.copy(), l21=p.w2.l21.copy(),
-                       l22=p.w2.l22.copy(), algorithm="w2")
-    assert_block_forms(copy, p)
-    # the blocks of another matrix's factor, against p: p's cache must not be used
-    other = random_pdp(n, 90 + n).w1
-    assert_block_forms(other, p)
-    # nor may a partition that has not factored itself be factored
-    fresh = BlockPartition.from_matrix(p.assemble())
-    assert_block_forms(copy, fresh)
-    assert "l21" not in vars(fresh)
+    assert_block_forms(f)
 
 
 @pytest.mark.parametrize("n", [4, 64, 70])
 def test_factors_with_negative_zeros(n):
-    p = random_pdp(n, 7 * n)
+    # -0.0 in a11's first column and in a12 reaches l11 and l21 through
+    # the leading-block Cholesky and the forward substitution
+    h = normal((2 * n, 2 * n), 7 * n)
+    a = h + h.T + 8 * n * np.eye(2 * n)  # diagonally dominant, so SPD
+    a[2:n:3, 0] = a[0, 2:n:3] = 0.0
+    a[:n:2, n + 1::3] = a[n + 1::3, :n:2] = 0.0
+    p = BlockPartition.from_matrix(a)
+    p = BlockPartition(n, with_negative_zeros(p.a11), with_negative_zeros(p.a12), p.a22)
+    assert np.signbit(p.l11[2, 0]) and np.signbit(p.l21).any()
     for f in (p.w1, p.w2):
-        l21 = np.array(f.l21)
-        l21[::2, 1::3] = 0.0
-        signed = BlockFactor(n=n, l11=with_negative_zeros(f.l11),
-                             l21=with_negative_zeros(l21),
-                             l22=with_negative_zeros(f.l22), algorithm=f.algorithm)
-        assert np.signbit(signed.l11[0, -1]) or n == 1
-        assert_block_forms(signed, p)
-
-
-def test_factor_of_a_partition_that_cannot_be_factored():
-    p = BlockPartition.from_matrix(np.diag([1.0, -1.0, 1.0, 1.0]))
-    f = BlockFactor(n=2, l11=np.eye(2), l21=np.ones((2, 2)), l22=np.triu(np.ones((2, 2))),
-                    algorithm="w2")
-    assert_block_forms(f, p)
+        assert_block_forms(dataclasses.replace(f, l22=with_negative_zeros(f.l22)))
 
 
 def test_mix_is_the_coupling_block_of_omega_l2():
     for _, p in FIXTURES:
         n = p.n
-        mix = matmul(np.ascontiguousarray(p.w1.l11.T), p.w2.l22) - np.eye(n)
-        assert_same_bits(p.w2.omega(p)[:n, n:], mix)
+        mix = matmul(np.ascontiguousarray(p.l11.T), p.w2.l22) - np.eye(n)
+        assert_same_bits(p.w2.omega()[:n, n:], mix)
 
 
 # --- everything built on them, with the frozen forms patched in -------------

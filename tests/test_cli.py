@@ -79,6 +79,17 @@ def test_diagnose_requires_source():
     assert main(["diagnose"]) == 2
 
 
+def test_diagnose_with_both_in_and_family_is_usage_error(tmp_path, capsys, monkeypatch):
+    # refused before the file is read or a matrix generated
+    calls = []
+    monkeypatch.setattr(matio, "read_matrix", lambda *a: calls.append(a))
+    monkeypatch.setattr(diagnostics, "generate_family", lambda *a, **k: calls.append(a))
+    src = tmp_path / "a.mat"
+    assert main(["diagnose", "--in", str(src), "--family", "minij"]) == 2
+    assert calls == []
+    assert capsys.readouterr().err == "error: diagnose takes exactly one of --family and --in\n"
+
+
 def test_diagnose_failure_exit(tmp_path):
     src = tmp_path / "bad.mat"
     matio.write_matrix(src, np.diag([1.0, -1.0, 1.0, 1.0]))

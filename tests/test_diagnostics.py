@@ -265,12 +265,31 @@ def _csv_with_record(tmp_path, record):
      "line 3: invalid literal for int() with base 10: 'two'"),
     (lambda good: good.replace("identity,0.0,", "identity,zero,", 1),
      "line 3: could not convert string to float: 'zero'"),
-], ids=["extra-field", "short-record", "blank-line", "non-integer-n", "non-numeric-param"])
+    # parsed by float() or int(), but never written so by write_csv
+    (lambda good: good.replace("identity,0.0,", "identity,1_0,", 1),
+     "line 3: param field '1_0' is not written as '10.0'"),
+    (lambda good: good.replace("identity,0.0,2,", "identity,0.0, 2 ,", 1),
+     "line 3: n field ' 2 ' is not written as '2'"),
+    (lambda good: good.replace("identity,0.0,2,", "identity,0.0,+2,", 1),
+     "line 3: n field '+2' is not written as '2'"),
+    (lambda good: good.replace("identity,0.0,", "identity,NaN,", 1),
+     "line 3: param field 'NaN' is not written as 'nan'"),
+], ids=["extra-field", "short-record", "blank-line", "non-integer-n", "non-numeric-param",
+        "digit-separator", "padded-n", "signed-n", "capitalised-nan"])
 def test_read_csv_rejects_a_malformed_record_naming_its_line(tmp_path, record, message):
     path = _csv_with_record(tmp_path, record)
     with pytest.raises(UsageError) as err:
         read_csv(path)
     assert str(err.value).startswith(message)
+
+
+def test_read_csv_reports_a_non_ascii_byte_naming_its_line(tmp_path):
+    path = _csv_with_record(tmp_path, lambda good: good)
+    lines = path.read_bytes().splitlines()
+    lines[2] = lines[2].replace(b"identity", b"identit\xe9")  # a Latin-1 e-acute
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(UsageError, match=r"^line 3: non-ASCII byte 0xe9$"):
+        read_csv(path)
 
 
 @pytest.mark.parametrize("content", ["", "family,param\n", "\n"],

@@ -85,7 +85,7 @@ CASES = {
     "matmul_acc": accumulated_products,
     "block_factors": lambda: [f.assemble() for p in partitions() for f in (p.w1, p.w2)],
     "residual_omega": lambda: [m for p in partitions() for f in (p.w1, p.w2)
-                               for m in (f.residual(p), f.omega(p))],
+                               for m in (f.residual(), f.omega())],
     "schur_drift": lambda: [m for p in partitions() for m in (p.schur, p.drift)],
 }
 

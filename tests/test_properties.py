@@ -34,7 +34,7 @@ def test_cholesky_backward_bound_on_every_fixture():
 def test_factor_diagonals_strictly_positive():
     for name, p in standard_fixtures():
         for f in (algorithm_w1(p), algorithm_w2(p)):
-            assert np.all(np.diag(f.l11) > 0), name
+            assert np.all(np.diag(f.p.l11) > 0), name
             assert np.all(np.diag(f.l22) > 0), name
 
 

@@ -112,7 +112,7 @@ def test_algorithm_w1_identity():
 def test_algorithm_w1_tam3_relative_error():
     p = BlockPartition.from_matrix(hyperbolic_spd(3.0))
     f = algorithm_w1(p)
-    relerr = spectral_norm(f.residual(p)) / spectral_norm(p.assemble())
+    relerr = spectral_norm(f.residual()) / spectral_norm(p.assemble())
     assert within_factor(relerr, 3.8826e-13)
 
 
@@ -130,15 +130,15 @@ def test_algorithm_w2_identity():
 def test_algorithm_w2_pascal_backward_error():
     p = pascal_symplectic(6)
     f = algorithm_w2(p)
-    relerr = spectral_norm(f.residual(p)) / spectral_norm(p.assemble())
+    relerr = spectral_norm(f.residual()) / spectral_norm(p.assemble())
     assert relerr <= 1e-14
 
 
 def test_w1_w2_share_blocks_bitwise():
     for p in (minij_partition(), random_pdp(9, 8), pascal_symplectic(8)):
         f1, f2 = algorithm_w1(p), algorithm_w2(p)
-        assert np.array_equal(f1.l11, f2.l11)
-        assert np.array_equal(f1.l21, f2.l21)
+        assert np.array_equal(f1.p.l11, f2.p.l11)
+        assert np.array_equal(f1.p.l21, f2.p.l21)
 
 
 def test_w1_residual_structure_minij_exact():
@@ -146,7 +146,7 @@ def test_w1_residual_structure_minij_exact():
     # (2,2) block and equals schur - inv(a11) exactly on this fixture
     p = minij_partition()
     f = algorithm_w1(p)
-    resid = f.residual(p)
+    resid = f.residual()
     assert not resid[:2, :].any()
     assert not resid[:, :2].any()
     assert np.array_equal(resid[2:, 2:], np.array([[-1.0, 2.0], [2.0, 1.0]]))
@@ -226,28 +226,28 @@ def test_symplectic_inverse_symmetric_result_bitwise():
 # symmetric: the (1,2) and (1,1) blocks of omega(L) are zero
 
 
-def factor_structure_residuals(f, p):
+def factor_structure_residuals(f):
     """(||l11^T l22 - I||, ||l11^T l21 - l21^T l11||) from omega(L)."""
-    n = f.n
-    w = f.omega(p)
+    n = f.p.n
+    w = f.omega()
     return spectral_norm(w[:n, n:]), spectral_norm(w[:n, :n])
 
 
 def test_is_symplectic_block_factor_identity():
     p = BlockPartition.from_matrix(np.eye(4))
-    assert not p.w1.omega(p).any()
+    assert not p.w1.omega().any()
 
 
 def test_is_symplectic_block_factor_minij_fails():
     p = minij_partition()
-    inverse, symmetry = factor_structure_residuals(algorithm_w1(p), p)
+    inverse, symmetry = factor_structure_residuals(algorithm_w1(p))
     assert symmetry == pytest.approx(1.0, rel=1e-12)
     assert inverse == 0.0
 
 
 def test_is_symplectic_block_factor_pascal_w2():
     p = pascal_symplectic(6)
-    inverse, symmetry = factor_structure_residuals(algorithm_w2(p), p)
+    inverse, symmetry = factor_structure_residuals(algorithm_w2(p))
     assert inverse <= 1e-8 and symmetry <= 1e-8
 
 

@@ -201,13 +201,12 @@ def test_random_pdp_caches_its_leading_block_factors(n):
     for name in ("l11", "l11_inv_t", "inv_a11"):
         assert cached[name].tobytes() == getattr(fresh, name).tobytes(), name
         assert not cached[name].flags.writeable, name
-    # both factors hand out the partition's very own arrays
-    assert p.w1.l11 is p.l11 and p.w2.l11 is p.l11
+    # both factors belong to the partition and hand out its very own arrays
+    assert p.w1.p is p and p.w2.p is p
     assert p.w1.l22 is p.l11_inv_t
-    assert p.w1._shares_blocks(p) and p.w2._shares_blocks(p)
     for f, g in ((p.w1, fresh.w1), (p.w2, fresh.w2)):
         assert f.assemble().tobytes() == g.assemble().tobytes()
-        assert f.residual(p).tobytes() == g.residual(fresh).tobytes()
+        assert f.residual().tobytes() == g.residual().tobytes()
 
 
 def test_pdp_assemble_of_a_non_spd_block_names_the_leading_block():
