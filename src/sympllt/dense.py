@@ -1,9 +1,9 @@
 """Dense matrix kernels: deterministic products, norms, and spectral quantities.
 
 Matrices are plain 2-D float64 numpy arrays in row-major order.  The
-multiplication kernel fixes its accumulation order so repeated runs are
-bit-identical and the standard rounding-error model for recursive
-summation applies to every product formed by the library.
+product fixes its accumulation order, in numpy's einsum loop where an
+import-time probe shows it exact and in a Python loop otherwise, so runs
+are bit-identical and the rounding model for recursive summation applies.
 """
 
 import numpy as np
@@ -27,76 +27,76 @@ def _require_finite(a, op):
         raise InvalidEntryError(f"{op}: input contains NaN or infinite entries")
 
 
-# Products whose inner dimension is below this keep the plain loop: the
-# structure analysis below costs more than it saves at that size.
-_MIN_INNER = 64
-# Row height the output is computed in, so a band stays cache-resident;
-# products with fewer rows than two bands are done in one band.
-_BAND_ROWS = 128
+def _plain_product(a, b):
+    # every term, ascending k, each product rounded and then added to a sum from +0.0
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for k in range(a.shape[1]):
+        out += a[:, k : k + 1] * b[k : k + 1, :]
+    return out
 
 
-def _nonzero_extents(nonzero):
-    """[first, last + 1) of the True entries of each column (empty: [0, 0))."""
-    length = nonzero.shape[0]
-    first = nonzero.argmax(axis=0)
-    stop = length - nonzero[::-1].argmax(axis=0)
-    stop[~nonzero.any(axis=0)] = 0
-    return first.tolist(), stop.tolist()
+def _probe_inputs():
+    """Operand pairs, 67, 5 and 2 columns wide to reach the vector loop's body
+    and tail, on which a reordered or fused sum differs from the loop.
+
+    * Order: exact products 1, +2^53 and -2^53 (each later pair of rows in
+      turn) and zeros.  2^53 + 1 rounds to 2^53 but -2^53 + 1 is exact, so
+      every order but ascending k, up to a swap of the first two terms
+      (0 + t0 + t1 is t0 + t1 either way), turns some 0 into a 1.
+    * Rounding: -(1 + 2^-29) + (1 + 2^-30)^2 is 0.0 rounded, 2^-60 fused.
+    * k = 1 with -0.0, infinite and overflowing products, and k = 0: each
+      entry is +0.0 plus its products, never a product on its own.
+    """
+    inner, big, x = 5, 2.0 ** 53, 1.0 + 2.0 ** -30
+    pairs = [[p, q] for p in range(1, inner) for q in range(p + 1, inner)]
+    for m, n in ((1, 67), (3, 5), (2, 2)):
+        b = np.zeros((inner, n))
+        b[0] = 1.0
+        for j in range(n):
+            b[pairs[j % len(pairs)], j] = big, -big
+        yield np.ldexp(np.ones((m, inner)), -np.arange(m)[:, None]), b
+        yield np.tile([-1.0, x], (m, 1)), np.array([[1.0 + 2.0 ** -29] * n, [x] * n])
+    special = np.tile([-0.0, 1.0, -np.inf, 2.0 ** 1000, 0.0], (1, 14))
+    yield np.array([[-1.0], [2.0 ** 30], [-0.5]]), special
+    yield np.ones((2, 0)), np.ones((0, 3))
 
 
-def _safe_start(acc):
-    """True if ``acc`` is finite and has no -0.0 entry, so no +-0 term changes it."""
-    return bool(np.isfinite(acc).all() and not np.signbit(acc[acc == 0.0]).any())
+def _einsum_is_exact():
+    """True if ``np.einsum`` gives the plain loop's bits on every probe input."""
+    with np.errstate(over="ignore"):
+        return all(np.array_equal(np.einsum("ik,kj->ij", a, b, optimize=False).view(np.uint64),
+                                  _plain_product(a, b).view(np.uint64))
+                   for a, b in _probe_inputs())
 
 
-def matmul(a, b, acc=None):
+# Decided once per process: einsum takes every product of two or more columns, or none.
+_EINSUM_EXACT = _einsum_is_exact()
+
+
+def matmul(a, b):
     """Matrix product with a fixed summation order.
 
-    Each entry is accumulated over the shared index k in ascending order
-    (rank-1 updates), so results are deterministic across runs and exact
-    whenever all products and partial sums are exactly representable.
-    The running sums start from +0.0, or from a copy of ``acc`` when it is
-    given: ``matmul(c, d, matmul(a, b))`` is bitwise the product of
-    ``[a c]`` and ``[b; d]``, and ``acc`` itself is not modified.
-
-    Terms that cannot change a bit are skipped.  For finite inputs with an
-    inner dimension of at least 64, the k-th update touches only the rows
-    between the first and last nonzero of ``a[:, k]`` and the columns
-    between the first and last nonzero of ``b[k, :]``; a k with an all-zero
-    column or row is skipped.  The result is bitwise that of the full loop
-    because a running sum that starts at +0.0 is never -0.0, so adding a
-    +-0 product never changes it.  The same holds from an ``acc`` that is
-    finite and has no -0.0 entry; any other ``acc``, and NaN or infinite
-    inputs, keep every term (``0 * inf`` is NaN, ``-0.0 + 0.0`` is +0.0).
+    Each entry starts from +0.0 and adds the rounded products a[i, k] b[k, j]
+    in ascending k, so results are deterministic across runs and hosts, and
+    exact whenever all products and partial sums are exactly representable.
+    ``matmul([a c], [b; d])`` continues the sums of ``matmul(a, b)``.
+    Products of two or more columns run in numpy's compiled einsum loop,
+    which iterates i, k ascending, then j over C-contiguous operands: the
+    same arithmetic, unless the build reorders or fuses the updates.  If the
+    import-time probe finds either, every product takes the plain loop.
+    One-column products always do (einsum reorders their sums), and so do
+    results with a NaN: einsum adds product + sum, the loop sum + product,
+    and two NaNs keep the first one's sign and payload.
     """
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    (m, inner), n = a.shape, b.shape[1]
-    if acc is None:
-        out = np.zeros((m, n))
-    else:
-        out = as_matrix(acc).copy()
-        if out.shape != (m, n):
-            raise DimensionError(f"matmul: accumulator is {out.shape}, product is {(m, n)}")
-    if (inner < _MIN_INNER or out.size == 0
-            or not (np.isfinite(a).all() and np.isfinite(b).all())
-            or not (acc is None or _safe_start(out))):
-        for k in range(inner):
-            out += a[:, k : k + 1] * b[k : k + 1, :]
-        return out
-    row_first, row_stop = _nonzero_extents(a != 0)
-    col_first, col_stop = _nonzero_extents((b != 0).T)
-    bands = max(1, m // _BAND_ROWS)
-    height = -(-m // bands)
-    for i0 in range(0, m, height):
-        i1 = min(i0 + height, m)
-        for k, r0, r1, c0, c1 in zip(range(inner), row_first, row_stop, col_first, col_stop):
-            r0, r1 = max(r0, i0), min(r1, i1)
-            if r0 < r1 and c0 < c1:
-                out[r0:r1, c0:c1] += a[r0:r1, k : k + 1] * b[k : k + 1, c0:c1]
-    return out
+    if _EINSUM_EXACT and b.shape[1] >= 2:
+        out = np.einsum("ik,kj->ij", a, b, optimize=False)
+        if not np.isnan(out).any():
+            return out
+    return _plain_product(a, b)
 
 
 def frobenius_norm(a):

@@ -207,7 +207,7 @@ def read_csv(path):
                                          f"{got!r} is not written as {want!r}")
                 rows.append(row)
     except UnicodeDecodeError:
-        raise UsageError(str(_non_ascii_error(path))) from None
+        raise UsageError(str(_non_ascii_error(path, csv_lines=True))) from None
     return rows
 
 

@@ -104,14 +104,16 @@ def _bad_token_error(lineno, parts):
             return ParseError(lineno, f"non-finite value {tok!r}")
 
 
-def _non_ascii_error(path):
-    """ParseError naming the line of the first byte of a file that is not ASCII."""
+def _non_ascii_error(path, csv_lines=False):
+    """ParseError naming the line of a file's first non-ASCII byte, lines ending as in
+    ``str.splitlines``, or with ``csv_lines`` only at \\r, \\n, \\r\\n as in csv.reader."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         data.decode("ascii")
     except UnicodeDecodeError as exc:
-        # lines numbered as read_matrix splits them; the bad byte starts or ends one
-        line = len((data[: exc.start].decode("ascii") + "x").splitlines())
+        # the bad byte starts or ends a line
+        head = data[: exc.start] + b"x"
+        line = len(head.splitlines() if csv_lines else head.decode("ascii").splitlines())
         return ParseError(line, f"non-ASCII byte {data[exc.start]:#04x}")
     return ParseError(1, "file changed while it was read")

@@ -108,26 +108,21 @@ class BlockPartition:
 
     @cached_property
     def gram(self):
-        """(l11 l11^T, l21 l11^T, l21 l21^T): the blocks of L L^T w1 and w2 share."""
+        """(l11 l11^T, l21 l11^T): the blocks of L L^T that w1 and w2 share."""
         l11, l21 = self.l11, self.l21
-        return _read_only(_outer(l11, l11)), _read_only(_outer(l21, l11)), self._l21_outer
-
-    @cached_property
-    def _l21_outer(self):
-        # l21 l21^T on its own: the Schur complement needs no other gram block
-        return _read_only(_outer(self.l21, self.l21))
+        return _read_only(_outer(l11, l11)), _read_only(_outer(l21, l11))
 
     @cached_property
     def omega11(self):
-        """The (1,1) block of omega(L), l11^T l21 - l21^T l11, shared by w1 and w2."""
+        """omega(L)'s (1,1) block l11^T l21 - l21^T l11, shared by w1 and w2, as
+        the one product [l11^T l21^T] [l21; -l11]: the full product's terms."""
         l11, l21 = self.l11, self.l21
-        l11t_l21 = matmul(np.ascontiguousarray(l11.T), l21)
-        return _read_only(matmul(np.ascontiguousarray(l21.T), -l11, l11t_l21))
+        return _read_only(matmul(np.hstack([l11.T, l21.T]), np.vstack([l21, -l11])))
 
     @cached_property
     def schur(self):
         """a22 - l21 l21^T, symmetrized by averaging after the subtraction."""
-        s = self.a22 - self._l21_outer
+        s = self.a22 - _outer(self.l21, self.l21)
         return _read_only(0.5 * (s + s.T))
 
     # Each algorithm runs once, but the partition keeps only its l22: a cached
@@ -225,14 +220,15 @@ class BlockFactor:
         """a - L L^T against the partition the factor belongs to.
 
         L L^T = [l11 l11^T, l11 l21^T; l21 l11^T, l21 l21^T + l22 l22^T] is
-        formed block by block, the (2,2) block by continuing the sums of
-        l21 l21^T with the l22 terms.  Each entry adds the nonzero terms of
-        the full product ``matmul(L, L^T)`` in the same order and only skips
+        formed block by block, the (2,2) block as one product of
+        x = [l21 l22] with x^T.  Each entry adds the nonzero terms of the
+        full product ``matmul(L, L^T)`` in the same order and only skips
         products with the zero block, so the result is bitwise the same.
         """
-        p, n, l22 = self.p, self.p.n, self.l22
-        g11, g21, g22 = p.gram
-        g22 = matmul(l22, np.ascontiguousarray(l22.T), g22)
+        p, n = self.p, self.p.n
+        g11, g21 = p.gram
+        x = np.hstack([p.l21, self.l22])
+        g22 = _outer(x, x)
         out = np.empty((2 * n, 2 * n))
         out[:n, :n] = p.a11 - g11
         out[:n, n:] = p.a12 - g21.T
@@ -244,7 +240,7 @@ class BlockFactor:
         """omega(L) = L^T J L - J, bitwise ``omega(self.assemble())``.
 
         J L = [l21 l22; -l11 0], so L^T J L = [o11, o12; l22^T (-l11), 0]
-        with o11 = l11^T l21 continued with l21^T (-l11) and o12 = l11^T l22.
+        with o11 = [l11^T l21^T] [l21; -l11] (``p.omega11``) and o12 = l11^T l22.
         As in residual, each block sums the full product's nonzero terms in
         the same order.  l22^T (-l11) sums o12^T's products negated, and a
         zero sum is +0.0 in both, so it is bitwise 0.0 - o12^T.

@@ -2,10 +2,14 @@
 
 ``BlockFactor.residual`` and ``BlockFactor.omega`` build a - L L^T and
 L^T J L - J from the blocks of L = [l11 0; l21 l22], and take the blocks
-w1 and w2 share (l11 l11^T, l21 l11^T, l21 l21^T and the (1,1) block of
-omega(L)) from the cache of the partition the factor holds.  The frozen full-product forms below
-are the definitions they replace; every result must match them bit for
-bit, compared as uint64 views so -0.0 vs +0.0 counts.
+w1 and w2 share (l11 l11^T, l21 l11^T and the (1,1) block of omega(L))
+from the cache of the partition the factor holds.  The frozen
+full-product forms below are the definitions they replace, and the
+frozen continued sums are the forms the (2,2) block of L L^T and the
+(1,1) block of omega(L) had before they became single products over a
+concatenated inner dimension; every result must match them bit for bit,
+compared as uint64 views so -0.0 vs +0.0 counts.  The same tests run
+with matmul's plain loop forced in ``test_plain_loop_path.py``.
 """
 
 import dataclasses
@@ -35,11 +39,24 @@ def frozen_omega(f):
 
 
 def plain_matmul(a, b, acc=None):
-    """Every term, ascending k, from +0.0 or from a copy of ``acc``."""
+    """Every term, ascending k, from +0.0 or from a copy of ``acc``: a frozen
+    copy of ``matmul(a, b, acc)`` from before ``acc`` gave way to products
+    over a concatenated inner dimension."""
     out = np.zeros((a.shape[0], b.shape[1])) if acc is None else np.array(acc, dtype=float)
     for k in range(a.shape[1]):
         out += a[:, k : k + 1] * b[k : k + 1, :]
     return out
+
+
+def frozen_omega11(p):
+    """omega11 as it was: l11^T l21, continued with l21^T (-l11)."""
+    return plain_matmul(p.l21.T, -p.l11, plain_matmul(p.l11.T, p.l21))
+
+
+def frozen_residual22(f):
+    """The (2,2) block of residual() as it was: a22 - (l21 l21^T continued with l22 l22^T)."""
+    p = f.p
+    return p.a22 - plain_matmul(f.l22, f.l22.T, plain_matmul(p.l21, p.l21.T))
 
 
 def bits(a):
@@ -52,8 +69,11 @@ def assert_same_bits(got, want):
 
 
 def assert_block_forms(f):
+    n = f.p.n
     assert_same_bits(f.residual(), frozen_residual(f))
     assert_same_bits(f.omega(), frozen_omega(f))
+    assert_same_bits(f.residual()[n:, n:], frozen_residual22(f))
+    assert_same_bits(f.p.omega11, frozen_omega11(f.p))
 
 
 def with_negative_zeros(a):
@@ -62,16 +82,23 @@ def with_negative_zeros(a):
     return out
 
 
-# --- matmul continued from a starting array ---------------------------------
+# --- one product over a concatenated inner dimension ------------------------
+# omega11 and the (2,2) block of residual() used to continue one product's
+# sums with a second product's terms through matmul's ``acc``.  Each is now
+# one product over the concatenated inner dimension.  These tests, named
+# for the ``acc`` forms they replace, check that identity against the
+# frozen continued sums on the inputs the ``acc`` tests used.
 
 def normal(shape, seed):
     return np.random.default_rng(seed).standard_normal(shape)
 
 
-def assert_continues(a, b, acc):
-    before = np.array(acc)
-    assert_same_bits(matmul(a, b, acc), plain_matmul(a, b, acc))
-    assert_same_bits(acc, before)  # the start is copied, not written
+def assert_continues(first, second):
+    """matmul([a c], [b; d]) is bitwise a b's sums continued with c d's terms."""
+    (a, b), (c, d) = first, second
+    got = matmul(np.hstack([a, c]), np.vstack([b, d]))
+    assert_same_bits(got, plain_matmul(c, d, plain_matmul(a, b)))
+    return got
 
 
 @pytest.mark.parametrize("m,k,n", [(3, 4, 5), (90, 63, 70), (90, 64, 70), (90, 65, 70),
@@ -79,22 +106,23 @@ def assert_continues(a, b, acc):
 def test_matmul_continues_from_acc(m, k, n):
     a, b = normal((m, k), m), normal((k, n), n)
     a[:, ::5] = 0.0
-    assert_continues(a, b, normal((m, n), k))
-    assert_continues(a, b, np.zeros((m, n)))
+    start = normal((m, 3), k), normal((3, n), k + 1)
+    assert_continues(start, (a, b))
+    assert_continues((np.zeros((m, 3)), start[1]), (a, b))
+    assert_continues((a, b), start)
 
 
 @pytest.mark.parametrize("order", [80, 300])
 def test_matmul_acc_with_negative_zeros(order):
     a = normal((order, order), 1) * (normal((order, order), 2) > 0)
     b = normal((order, order), 3) * (normal((order, order), 4) > 0)
-    acc = normal((order, order), 5)
-    acc[::3, ::2] = -0.0  # -0.0 + +0.0 is +0.0: no term may be skipped
-    assert_continues(a, b, acc)
-    assert_continues(a, b, with_negative_zeros(np.zeros((order, order))))
-    # adding only zero products still turns some -0.0 starts into +0.0
-    zeros = np.zeros((order, order))
-    assert_continues(zeros, b, acc)
-    assert not np.array_equal(bits(matmul(zeros, b, acc)), bits(acc))
+    x = with_negative_zeros(normal((order, order), 5) * (normal((order, order), 6) > 0))
+    assert_continues((x, b), (a, b))
+    assert_continues((a, b), (x, b))
+    # a sum starts at +0.0, so -0.0 operands and zero products give +0.0
+    zeros = with_negative_zeros(np.zeros((order, order)))
+    got = assert_continues((zeros, b), (zeros, -b))
+    assert not np.signbit(got).any()
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -102,32 +130,33 @@ def test_matmul_acc_with_negative_zeros(order):
 def test_matmul_acc_non_finite(bad):
     a = normal((80, 80), 6)
     a[:, 4] = 0.0
-    acc = normal((80, 80), 7)
-    acc[3, 3] = bad
-    assert_continues(a, a.T, acc)
+    x = normal((80, 80), 7)
+    x[3, 3] = bad
+    assert_continues((x, a.T), (a, a.T))
+    assert_continues((a, a.T), (x, a.T))
 
 
 @pytest.mark.parametrize("order", [255, 256, 300])
 def test_matmul_acc_gram_continues_any_start(order):
     low = np.tril(normal((order, order), order))
-    g = matmul(low, low.T)
-    assert_continues(low, low.T, g)  # bitwise symmetric
+    got = assert_continues((low, low.T), (low, low.T))
+    assert_same_bits(got, got.T)  # bitwise symmetric, as the residual's (2,2) block
     skew = normal((order, order), 8)
-    assert_continues(low, low.T, skew)  # not symmetric
-    got = matmul(low, low.T, g)
-    assert_same_bits(got, got.T)
+    assert_continues((skew, low.T), (low, low.T))  # not symmetric
 
 
 def test_matmul_acc_concatenates_inner_dimension():
     a, b = normal((70, 66), 9), normal((66, 75), 10)
     c, d = normal((70, 80), 11), normal((80, 75), 12)
-    whole = matmul(np.hstack([a, c]), np.vstack([b, d]))
-    assert_same_bits(matmul(c, d, matmul(a, b)), whole)
+    assert_continues((a, b), (c, d))
 
 
 def test_matmul_acc_shape_is_checked():
+    # no start argument any more: a third operand is an error, not a start
+    with pytest.raises(TypeError):
+        matmul(np.eye(3), np.eye(3), np.zeros((3, 3)))
     with pytest.raises(DimensionError):
-        matmul(np.eye(3), np.eye(3), np.zeros((3, 2)))
+        matmul(np.hstack([np.eye(3), np.eye(3)]), np.eye(3))
 
 
 # --- residual and omega(L) against the full products ------------------------
@@ -220,9 +249,19 @@ def test_l21_gram_formed_once_per_diagnose(monkeypatch, n):
     grams = [c for c in calls
              if len(c) == 2 and np.array_equal(c[0], l21) and np.array_equal(c[1], l21.T)]
     assert len(grams) == 1
-    # and no full 2n x 2n product forms it again: the only one left is A^T (J A)
+    # and no full 2n x 2n product forms it again: the products over an inner
+    # dimension of 2n are A^T (J A), omega11 and each factor's (2,2) block of
+    # L L^T, and each is formed once
+    a = p.assemble()
+    xs = [np.hstack([l21, f.l22]) for f in (p.w1, p.w2)]
+    wanted = [(a.T, np.vstack([a[n:], -a[:n]])),
+              (np.hstack([p.l11.T, l21.T]), np.vstack([l21, -p.l11])),
+              *((x, x.T) for x in xs)]
     full = [c for c in calls if c[0].shape[1] == 2 * n]
-    assert len(full) == 1 and np.array_equal(full[0][0], p.assemble().T)
+    assert len(full) == len(wanted)
+    for left, right in wanted:
+        assert sum(np.array_equal(c[0], left) and np.array_equal(c[1], right)
+                   for c in full) == 1
 
 
 def test_one_eigensolve_per_matrix_in_diagnose(monkeypatch):

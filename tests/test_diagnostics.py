@@ -292,6 +292,21 @@ def test_read_csv_reports_a_non_ascii_byte_naming_its_line(tmp_path):
         read_csv(path)
 
 
+def test_read_csv_numbers_a_non_ascii_line_as_csv_reader_does(tmp_path):
+    # csv.reader ends lines only at \n, \r and \r\n; str.splitlines would
+    # also end one at the form feed in line 2 and call the bad byte's line 4
+    path = _csv_with_record(tmp_path, lambda good: good)
+    lines = path.read_bytes().splitlines()
+    lines[1] = lines[1].replace(b"identity", b"iden\x0ctity")
+    signed = lines[2].replace(b"identity,0.0,2,", b"identity,0.0,+2,")
+    path.write_bytes(b"\n".join([*lines[:2], signed]) + b"\n")
+    with pytest.raises(UsageError, match=r"^line 3: n field '\+2' is not written as '2'$"):
+        read_csv(path)
+    path.write_bytes(b"\n".join([*lines[:2], signed.replace(b"identity", b"identit\xe9")]) + b"\n")
+    with pytest.raises(UsageError, match=r"^line 3: non-ASCII byte 0xe9$"):
+        read_csv(path)
+
+
 @pytest.mark.parametrize("content", ["", "family,param\n", "\n"],
                          ids=["empty", "short-header", "blank-header"])
 def test_read_csv_rejects_a_missing_or_wrong_header(tmp_path, content):

@@ -8,9 +8,11 @@ digest.  The inputs are built only from ``SplitMix64.uniform()`` words
 (integer arithmetic and an exact scaling) and from the integer Pascal
 family, and the kernels use only IEEE-rounded operations (+, -, *, /,
 sqrt), never libm's transcendental functions or LAPACK, so the constants
-hold on every IEEE-754 host.  Orders sit on both sides of the product's
-structure threshold (``dense._MIN_INNER``) and of its row bands
-(``dense._BAND_ROWS``).
+hold on every IEEE-754 host.  The products cover both of ``matmul``'s
+paths: one output column (always the plain loop) and two or more (the
+einsum loop where the import-time probe accepts it), with widths that
+reach einsum's unrolled vector loop and its tail.  The same tests run
+with the plain loop forced in ``test_plain_loop_path.py``.
 """
 
 import hashlib
@@ -19,7 +21,6 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from sympllt import dense
 from sympllt.dense import matmul
 from sympllt.factor import (cholesky_lower, forward_substitute, lower_triangular_inverse,
                             reverse_cholesky_upper)
@@ -64,15 +65,15 @@ def products():
             matmul(low, up), matmul(up, low), matmul(signed, signed.T), matmul(low, low.T)]
 
 
-def accumulated_products():
+def concatenated_products():
+    """Products over a concatenated inner dimension, and one- and two-column products."""
     a, b = uniform_matrix(66, 65, 9), uniform_matrix(65, 66, 10)
     c, d = uniform_matrix(66, 70, 11), uniform_matrix(70, 66, 12)
-    tall = uniform_matrix(257, 65, 13)
-    gram = matmul(tall, np.ascontiguousarray(tall.T))
-    unsafe = matmul(a, b)
-    unsafe[::3, ::2] = -0.0  # a start with -0.0 keeps every term
-    return [matmul(c, d, matmul(a, b)), matmul(c, d, unsafe),
-            matmul(tall, np.ascontiguousarray(tall.T), gram)]
+    twice = np.hstack([uniform_matrix(257, 65, 13)] * 2)
+    return [matmul(np.hstack([a, c]), np.vstack([b, d])),
+            matmul(twice, np.ascontiguousarray(twice.T)),
+            matmul(c, uniform_matrix(70, 1, 14)), matmul(c, uniform_matrix(70, 2, 15)),
+            matmul(uniform_matrix(1, 70, 16), d)]
 
 
 CASES = {
@@ -82,7 +83,7 @@ CASES = {
     "forward_substitute": lambda: [forward_substitute(chol(n), uniform_matrix(n, 7, 100 + n))
                                    for n in ORDERS],
     "matmul": products,
-    "matmul_acc": accumulated_products,
+    "matmul_concatenated": concatenated_products,
     "block_factors": lambda: [f.assemble() for p in partitions() for f in (p.w1, p.w2)],
     "residual_omega": lambda: [m for p in partitions() for f in (p.w1, p.w2)
                                for m in (f.residual(), f.omega())],
@@ -95,7 +96,7 @@ GOLDEN = {
     "forward_substitute": "36c98357b7927615c8d62250887311f255b8310f69a659d20c81864b18f422a7",
     "lower_triangular_inverse": "3484016b3adabae63edadbaae5e226218901ef05201bc1b7aa08d642ae086393",
     "matmul": "de4609a5034be91fa5895023efa9879e6d47c5c64ae94aa626797b5b79eb7669",
-    "matmul_acc": "1755bb124d50bc41bc564e868fd07d421fa2119b1f32422b9e682a82ec07635d",
+    "matmul_concatenated": "d683982a738988687a51c27e1442e7760bbfcd8a159c4b430c43009425851c03",
     "residual_omega": "d970922487b01455d038a1d6278047e76b12aad9785bff15ddce55eb060deca4",
     "reverse_cholesky_upper": "a16625cec3c43ae643db93d96dd57852104da406c7badb9f9e0fe8e3a4e7bc0c",
     "schur_drift": "fd6d1553db526dfbc5c067487b41655ccea497bf42b36a3c652f406c59daa87a",
@@ -117,8 +118,8 @@ def test_kernel_output_bytes_match_the_golden_digest(name):
 
 
 def test_orders_straddle_the_kernel_thresholds():
-    orders = set(ORDERS)
-    for limit in (dense._MIN_INNER, dense._BAND_ROWS):
-        assert min(orders) < limit < max(orders)
-    # the product is computed in row bands: cover a product with two of them
-    assert max(orders) >= 2 * dense._BAND_ROWS
+    widths = {m.shape[1] for name in ("matmul", "matmul_concatenated") for m in CASES[name]()}
+    # one output column takes the plain loop, two or more take einsum
+    assert {1, 2} <= widths
+    # einsum's vector loop handles up to 32 doubles per pass, then a tail
+    assert any(w > 32 and w % 32 for w in widths)

@@ -1,8 +1,11 @@
 """dense.matmul against a frozen copy of the plain fixed-order loop.
 
-The structure-aware kernel skips +-0 terms, which must leave every bit
-of every result unchanged.  Results are compared as uint64 views, so
--0.0 vs +0.0 and NaN payloads count.
+matmul runs products of two or more output columns in numpy's einsum
+loop when the import-time probe accepts it, and everything else in the
+plain loop; either must give every bit of the frozen loop's result.
+Results are compared as uint64 views, so -0.0 vs +0.0 and NaN payloads
+count.  The same tests run with the plain loop forced in
+``test_plain_loop_path.py``.
 """
 
 import numpy as np
@@ -18,14 +21,13 @@ from sympllt.testmat import random_pdp
 from support import check_fields, rebind, row_fields
 
 
-def frozen_matmul(a, b, acc=None):
-    """The plain kernel: every term, ascending k, full rank-1 updates,
-    starting from +0.0 or from a copy of ``acc``."""
+def frozen_matmul(a, b):
+    """The plain kernel: every term, ascending k, full rank-1 updates from +0.0."""
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1])) if acc is None else as_matrix(acc).copy()
+    out = np.zeros((a.shape[0], b.shape[1]))
     for k in range(a.shape[1]):
         out += a[:, k : k + 1] * b[k : k + 1, :]
     return out
@@ -57,6 +59,48 @@ def test_dense_products(m, k, n):
 @pytest.mark.parametrize("m,k,n", [(3, 0, 4), (0, 70, 5), (5, 70, 0), (0, 0, 0)])
 def test_empty_products(m, k, n):
     assert_same_bits(np.zeros((m, k)), np.zeros((k, n)))
+
+
+def signed_specials(shape, seed):
+    """Normals with -0.0, +0.0, inf, -inf and NaN entries mixed in."""
+    rng = np.random.default_rng(seed)
+    out = rng.standard_normal(shape)
+    specials = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan])
+    pick = rng.random(shape) < 0.3
+    out[pick] = rng.choice(specials, size=int(pick.sum()))
+    return out
+
+
+def with_negative_zeros(a):
+    out = np.array(a)
+    out[out == 0.0] = -0.0
+    return out
+
+
+# one output column (the plain loop on every host) against two or more, one
+# row, no or one inner term, and inner sizes around 64
+EDGE_SHAPES = [(m, k, n) for m in (1, 3) for k in (0, 1, 2) for n in (1, 2, 3)]
+EDGE_SHAPES += [(m, k, n) for m in (1, 40) for k in (63, 64, 65) for n in (1, 2, 37)]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("m,k,n", EDGE_SHAPES)
+def test_edge_shapes_with_signed_zeros_and_non_finite_entries(m, k, n):
+    assert_same_bits(normal((m, k), k), normal((k, n), n))
+    a, b = signed_specials((m, k), m * k + n), signed_specials((k, n), m + k * n)
+    assert_same_bits(a, b)
+    assert_same_bits(with_negative_zeros(np.zeros((m, k))), b)
+    assert_same_bits(np.abs(a), np.abs(b))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_a_nan_meeting_a_nan_keeps_the_loops_bits():
+    # the +NaN of row 0 meets the NaN of 0 * inf, which is -NaN on x86: the
+    # sum keeps the sign of whichever operand comes first
+    a = np.array([[1.0, 0.0], [0.0, 1.0]])
+    b = np.array([[np.nan, np.nan, 1.0], [np.inf, -np.inf, np.inf]])
+    assert_same_bits(a, b)
+    assert_same_bits(a[::-1].copy(), b)
 
 
 @pytest.mark.parametrize("k", [63, 64, 65])
@@ -112,7 +156,7 @@ def test_non_finite_opposite_zeros(bad, order):
     assert_same_bits(a, a.T)
 
 
-@pytest.mark.parametrize("order", [80, 255, 256, 300, 400])
+@pytest.mark.parametrize("order", [80, 255, 256, 257, 300, 400])
 def test_gram_of_transpose(order):
     a = masked((order, 150), order, 0.6)
     assert_same_bits(a, a.T)  # a view
