@@ -15,8 +15,6 @@ when its own hypothesis fails.
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .dense import EPS, condition_number, frobenius_norm, matmul, spectral_norm
 from .errors import FactorError
 from .factor import require_symmetric, upper_substitute
@@ -124,7 +122,7 @@ def check_omega_factor_bounds(p):
         BoundCheckResult.compare("omega-factor-ordering", omega_l2,
                                  omega_l1 + mix, SLACK, floor),
     ]
-    sim = matmul(matmul(np.ascontiguousarray(p.l11.T), -p.drift), p.l11)
+    sim = matmul(matmul(p.l11.T, -p.drift), p.l11)
     rho = spectral_norm(0.5 * (sim + sim.T))
     if rho > 0.5:
         results.append(BoundCheckResult.skip(
@@ -175,7 +173,7 @@ def check_condition_bounds(p):
 
     u22 = f2.l22
     half = upper_substitute(u22, p.drift)
-    sim = upper_substitute(u22, np.ascontiguousarray(half.T))
+    sim = upper_substitute(u22, half.T)
     rho = spectral_norm(0.5 * (sim + sim.T))
     if rho >= 1.0:
         results.append(BoundCheckResult.skip(

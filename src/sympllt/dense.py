@@ -15,7 +15,7 @@ EPS = 2.0 ** -53
 
 
 def as_matrix(a):
-    """Coerce ``a`` to a 2-D float64 array, validating the shape."""
+    """Coerce ``a`` to a C-contiguous 2-D float64 array, validating the shape."""
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got ndim={m.ndim}")

@@ -124,7 +124,7 @@ def spd_solve(a, b):
     the reference definition BlockPartition.coupling is tested bitwise against."""
     low = cholesky_lower(a)
     y = forward_substitute(low, b)
-    return upper_substitute(np.ascontiguousarray(low.T), y)
+    return upper_substitute(low.T, y)
 
 
 def spd_inverse(a):
@@ -136,4 +136,4 @@ def spd_inverse(a):
     """
     low = cholesky_lower(a)
     linv = lower_triangular_inverse(low)
-    return matmul(np.ascontiguousarray(linv.T), linv)
+    return matmul(linv.T, linv)

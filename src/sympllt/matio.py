@@ -13,7 +13,7 @@ from .dense import as_matrix
 from .errors import DimensionError, InvalidEntryError, ParseError
 
 
-def write_matrix(path, a, comment=None):
+def write_matrix(path, a):
     """Write ``a`` so that ``read_matrix`` reads it back bitwise.  A matrix
     that reading would reject, one with no entries (DimensionError) or a
     NaN or infinite entry (InvalidEntryError), raises before the file is
@@ -24,9 +24,6 @@ def write_matrix(path, a, comment=None):
     if not np.isfinite(a).all():
         raise InvalidEntryError("write_matrix: NaN or infinite entry")
     with open(path, "w", encoding="ascii") as fh:
-        if comment:
-            for line in str(comment).splitlines():
-                fh.write(f"# {line}\n")
         fh.write(f"{a.shape[0]} {a.shape[1]}\n")
         for row in a:
             fh.write(" ".join(repr(float(v)) for v in row))

@@ -99,7 +99,7 @@ class BlockPartition:
         can read it before the (2,2) block it needs it for is filled in.
         """
         l22 = self.l11_inv_t
-        return _read_only(_outer(l22, l22))
+        return _read_only(matmul(l22, l22.T))
 
     @cached_property
     def l21(self):
@@ -110,7 +110,7 @@ class BlockPartition:
     def gram(self):
         """(l11 l11^T, l21 l11^T): the blocks of L L^T that w1 and w2 share."""
         l11, l21 = self.l11, self.l21
-        return _read_only(_outer(l11, l11)), _read_only(_outer(l21, l11))
+        return _read_only(matmul(l11, l11.T)), _read_only(matmul(l21, l11.T))
 
     @cached_property
     def omega11(self):
@@ -122,7 +122,7 @@ class BlockPartition:
     @cached_property
     def schur(self):
         """a22 - l21 l21^T, symmetrized by averaging after the subtraction."""
-        s = self.a22 - _outer(self.l21, self.l21)
+        s = self.a22 - matmul(self.l21, self.l21.T)
         return _read_only(0.5 * (s + s.T))
 
     # Each algorithm runs once, but the partition keeps only its l22: a cached
@@ -136,8 +136,7 @@ class BlockPartition:
     @cached_property
     def coupling(self):
         """inv(a11) a12 from two solves with l11; bitwise spd_solve(a11, a12)."""
-        return _read_only(upper_substitute(np.ascontiguousarray(self.l11.T),
-                                           np.ascontiguousarray(self.l21.T)))
+        return _read_only(upper_substitute(self.l11.T, self.l21.T))
 
     @cached_property
     def drift(self):
@@ -158,7 +157,7 @@ class BlockPartition:
     def norm_inv(self):
         """||inv(a)|| with inv(a) = L^-T L^-1 from ``cholesky``; bitwise spd_inverse(a)."""
         linv = lower_triangular_inverse(self.cholesky)
-        return spectral_norm(matmul(np.ascontiguousarray(linv.T), linv))
+        return spectral_norm(matmul(linv.T, linv))
 
     @cached_property
     def _spectrum(self):
@@ -228,7 +227,7 @@ class BlockFactor:
         p, n = self.p, self.p.n
         g11, g21 = p.gram
         x = np.hstack([p.l21, self.l22])
-        g22 = _outer(x, x)
+        g22 = matmul(x, x.T)
         out = np.empty((2 * n, 2 * n))
         out[:n, :n] = p.a11 - g11
         out[:n, n:] = p.a12 - g21.T
@@ -246,17 +245,12 @@ class BlockFactor:
         zero sum is +0.0 in both, so it is bitwise 0.0 - o12^T.
         """
         p, n = self.p, self.p.n
-        o12 = matmul(np.ascontiguousarray(p.l11.T), self.l22)
+        o12 = matmul(p.l11.T, self.l22)
         out = np.zeros((2 * n, 2 * n))
         out[:n, :n] = p.omega11
         out[:n, n:] = o12
         out[n:, :n] = 0.0 - o12.T
         return out - structure_matrix(n)
-
-
-def _outer(x, y):
-    # x y^T with the fixed-order product
-    return matmul(x, np.ascontiguousarray(y.T))
 
 
 def structure_matrix(n):
@@ -353,13 +347,11 @@ def _structure_inverse(a):
     return out
 
 
-def gamma(n, eps=EPS):
+def gamma(n):
     """Rounding accumulation factor n*eps / (1 - n*eps), defined for n*eps < 1."""
     if n < 1:
         raise DomainError("gamma: n must be a positive integer")
-    if eps < 0:
-        raise DomainError("gamma: eps must be nonnegative")
-    ne = n * eps
+    ne = n * EPS
     if ne >= 1.0:
         raise DomainError(f"gamma: n*eps = {ne!r} is not below 1")
     return ne / (1.0 - ne)

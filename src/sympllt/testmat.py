@@ -253,7 +253,7 @@ def random_pdp(n, seed):
         raise DomainError(f"random_pdp: n must be in 1..{RANDOM_MAX_N}, got {n}")
     r = standard_normal_matrix(n, seed)
     h = 0.5 * (r + r.T)
-    g = matmul(r, np.ascontiguousarray(r.T))
+    g = matmul(r, r.T)
     ridge = 1e-12 * float(np.trace(g)) / n
     g = g + ridge * np.eye(n)
     return pdp_assemble(g, h)

@@ -15,6 +15,8 @@ from sympllt.diagnostics import (
 )
 from sympllt.testmat import pascal_symplectic, random_pdp, hyperbolic_spd
 
+from support import check_fields
+
 
 def rows_equal_bitwise(a, b):
     for name in CSV_COLUMNS:
@@ -350,6 +352,22 @@ def test_run_checks_scope_filter():
     assert all(r.context.startswith("hyperbolic/") for r in report.results)
     with pytest.raises(UsageError):
         run_checks(scope="toeplitz")
+
+
+FAMILY_SCOPES = sorted({name.split("/")[0] for name, _ in standard_fixtures()})
+
+
+@pytest.fixture(scope="module")
+def full_suite():
+    return run_checks()
+
+
+@pytest.mark.parametrize("scope", FAMILY_SCOPES)
+def test_a_scoped_run_repeats_the_full_runs_results(full_suite, scope):
+    # each fixture's perturbations are seeded from its place in the full set
+    expected = [(names, bits) for names, bits in zip(*check_fields(full_suite))
+                if names[3].split("/")[0] == scope]
+    assert list(zip(*check_fields(run_checks(scope=scope)))) == expected
 
 
 def test_run_checks_fault_injection_detected():

@@ -41,14 +41,6 @@ def test_comments_are_skipped(tmp_path):
     assert np.array_equal(read_matrix(path), np.array([[0.5, -3.25]]))
 
 
-def test_write_comment_round_trip(tmp_path):
-    path = tmp_path / "w.mat"
-    write_matrix(path, np.eye(2), comment="identity fixture")
-    text = path.read_text()
-    assert text.startswith("# identity fixture\n")
-    assert np.array_equal(read_matrix(path), np.eye(2))
-
-
 def test_trailing_blank_lines_accepted(tmp_path):
     path = tmp_path / "b.mat"
     path.write_text("2 2\n1 0\n0 1\n\n   \n")

@@ -252,15 +252,13 @@ def test_is_symplectic_block_factor_pascal_w2():
 
 
 def test_gamma_values():
-    assert gamma(2, 0.1) == pytest.approx(0.25, rel=1e-15)
-    assert gamma(5, 0.0) == 0.0
     # pinned by exact rational evaluation of 10*eps / (1 - 10*eps)
     assert gamma(10) == pytest.approx(1.1102230246251577e-15, rel=1e-15)
 
 
 def test_gamma_domain():
     with pytest.raises(DomainError):
-        gamma(2, 0.5)
+        gamma(2 ** 53)  # n eps = 1
     with pytest.raises(DomainError):
         gamma(0)
 

@@ -177,6 +177,24 @@ def test_triangular_inverse_keeps_the_signs_of_the_full_loop():
         lower_triangular_inverse(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("order", [1, 2, 5, 40, 63, 64, 65, 129])
+def test_substitutions_of_transposed_views_match_their_copies(order):
+    # the kernels lay out their operands themselves, so callers pass x.T as it is
+    rng = np.random.default_rng(2000 + order)
+    rhs = rng.standard_normal((3, order))
+    rhs[:, ::3] = -0.0
+    for low in factors(order):
+        upper = np.ascontiguousarray(low.T)
+        for tri, solve in ((upper.T, factor.forward_substitute), (low.T, factor.upper_substitute)):
+            for b in (rhs.T, rhs[:1].T):
+                want = outcome(solve, np.ascontiguousarray(tri), np.ascontiguousarray(b))
+                assert outcome(solve, tri, b) == want
+    # the partition's solve reads transposes of its read-only cached factors
+    p = random_pdp(order, 5000 + order)
+    want = factor.upper_substitute(np.ascontiguousarray(p.l11.T), np.ascontiguousarray(p.l21.T))
+    assert p.coupling.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("order", ORDERS)
 def test_pdp_assemble_matches_the_spd_inverse_form(order):
     r = standard_normal_matrix(order, 77 + order)
