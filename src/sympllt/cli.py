@@ -91,8 +91,7 @@ def _cmd_gen(args):
 
 
 def _cmd_factor(args):
-    a = matio.read_matrix(args.infile)
-    p = BlockPartition.from_matrix(a)
+    p = BlockPartition.from_matrix(matio.read_matrix(args.infile))
     f = algorithm_w1(p) if args.alg == "w1" else algorithm_w2(p)
     matio.write_matrix(args.out, f.assemble())
     return 0

@@ -148,14 +148,19 @@ def norm_and_condition(a):
     symmetric, and are bitwise those of the two separate calls.  The
     condition number is deferred so that a caller keeps the norm of a
     singular matrix and sees condition_number's SingularError where it
-    asks for the condition number.
+    asks for the condition number.  The function holds ``a`` only when
+    the eigenvalues cannot give it (an indefinite or singular ``a``); for
+    a positive definite one it keeps just the eigenvalues.
     """
     a = as_matrix(a)
     if a.size == 0 or a.shape[0] != a.shape[1]:
         raise DimensionError("norm_and_condition: matrix must be square and non-empty")
     _require_finite(a, "norm_and_condition")
     ev = _symmetric_eigenvalues(a)
-    return _norm(a, ev), lambda: _condition(a, ev)
+    norm = _norm(a, ev)
+    if ev is not None and ev[0] > 0.0:
+        a = None  # _condition then takes the eigenvalue ratio alone
+    return norm, lambda: _condition(a, ev)
 
 
 def _symmetric_eigenvalues(a):

@@ -33,7 +33,8 @@ def require_symmetric(a, op):
             # every skew is below an overflowed ||a||_F: compare at the scale of max|a|
             b = a / np.max(np.abs(a))
             norm = frobenius_norm(b)
-        skew = float(np.max(np.abs(b - b.T))) if a.size else 0.0
+        diff = b - b.T
+        skew = float(np.max(np.abs(diff, out=diff), initial=0.0))
         if skew > SYMMETRY_RTOL * norm:
             raise DimensionError(
                 f"{op}: asymmetry {float(np.max(np.abs(a - a.T))):.3e} exceeds "

@@ -33,43 +33,53 @@ def write_matrix(path, a):
 def read_matrix(path):
     """Read a matrix written by ``write_matrix`` (or by hand in that format).
 
-    Raises ParseError with the 1-based line number of the first problem:
-    a byte that is not ASCII, a missing or malformed header, a row with
-    the wrong number of values, a bad or non-finite float literal (Python's
-    '_' digit separators are not part of the format), missing
-    rows, or a non-blank line after the last data row (extra rows are
-    rejected, not ignored).
+    The file is read a line at a time, lines ending where ``str.splitlines``
+    ends them (\\n, \\r, \\r\\n, \\v, \\f and \\x1c-\\x1e), and only the rows
+    parsed so far are held.  Raises ParseError with a 1-based line number.
+    A byte that is not ASCII is reported wherever it lies, even after a line
+    with another problem; otherwise the first problem is: a missing or
+    malformed header, a row with the wrong number of values, a bad or
+    non-finite float literal (Python's '_' digit separators are not part of
+    the format), missing rows, or a non-blank line after the last data row
+    (extra rows are rejected, not ignored).
     """
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
+        # newline="": open() ends lines at \r, \n and \r\n, splitlines() at the rest
+        with open(path, "r", encoding="ascii", newline="") as fh:
+            return _parse_matrix(line for piece in fh for line in piece.splitlines())
     except UnicodeDecodeError:
         raise _non_ascii_error(path) from None
+    except ParseError as exc:
+        # the decoder checks one block of the file at a time, so a non-ASCII
+        # byte further on may not have been read yet
+        raise _non_ascii_error(path, otherwise=exc) from None
 
+
+def _parse_matrix(lines):
     k = 0
-    while k < len(lines) and lines[k].lstrip().startswith("#"):
-        k += 1
-    if k >= len(lines):
-        raise ParseError(len(lines) + 1, "missing header line")
-    header = lines[k].split()
+    for k, line in enumerate(lines, start=1):
+        if not line.lstrip().startswith("#"):
+            break
+    else:
+        raise ParseError(k + 1, "missing header line")
+    header = line.split()
     if len(header) != 2:
-        raise ParseError(k + 1, f"header must be 'rows cols', got {lines[k]!r}")
+        raise ParseError(k, f"header must be 'rows cols', got {line!r}")
     try:
-        if "_" in lines[k]:
+        if "_" in line:
             raise ValueError  # int() and float() take Python's digit separators
         rows, cols = int(header[0]), int(header[1])
     except ValueError:
-        raise ParseError(k + 1, f"non-integer header fields in {lines[k]!r}") from None
+        raise ParseError(k, f"non-integer header fields in {line!r}") from None
     if rows < 1 or cols < 1:
-        raise ParseError(k + 1, "rows and cols must be positive")
+        raise ParseError(k, "rows and cols must be positive")
 
     # grown row by row: a header claiming more than the file holds allocates nothing
     out = []
-    for i in range(rows):
-        lineno = k + 2 + i
-        if k + 1 + i >= len(lines):
+    for lineno in range(k + 1, k + 1 + rows):
+        line = next(lines, None)
+        if line is None:
             raise ParseError(lineno, f"expected {rows} data rows, file ended early")
-        line = lines[k + 1 + i]
         parts = line.split()
         if len(parts) != cols:
             raise ParseError(lineno, f"expected {cols} values, got {len(parts)}")
@@ -77,14 +87,14 @@ def read_matrix(path):
             if "_" in line:
                 raise ValueError
             out.append(np.array(parts, dtype=np.float64))  # float()'s bits and errors
-            finite = np.isfinite(out[i]).all()
+            finite = np.isfinite(out[-1]).all()
         except ValueError:
             finite = False
         if not finite:
             raise _bad_token_error(lineno, parts)
-    for extra in range(k + 1 + rows, len(lines)):
-        if lines[extra].strip():
-            raise ParseError(extra + 1, f"extra data after the {rows} declared rows")
+    for lineno, line in enumerate(lines, start=k + 1 + rows):
+        if line.strip():
+            raise ParseError(lineno, f"extra data after the {rows} declared rows")
     return np.array(out)
 
 
@@ -101,16 +111,19 @@ def _bad_token_error(lineno, parts):
             return ParseError(lineno, f"non-finite value {tok!r}")
 
 
-def _non_ascii_error(path, csv_lines=False):
+def _non_ascii_error(path, csv_lines=False, otherwise=None):
     """ParseError naming the line of a file's first non-ASCII byte, lines ending as in
-    ``str.splitlines``, or with ``csv_lines`` only at \\r, \\n, \\r\\n as in csv.reader."""
+    ``str.splitlines``, or with ``csv_lines`` only at \\r, \\n, \\r\\n as in csv.reader.
+    If every byte is ASCII: ``otherwise``, or an error saying the file changed."""
+    split = bytes.splitlines if csv_lines else lambda b: b.decode("ascii").splitlines()
+    line = 1
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        # the bad byte starts or ends a line
-        head = data[: exc.start] + b"x"
-        line = len(head.splitlines() if csv_lines else head.decode("ascii").splitlines())
-        return ParseError(line, f"non-ASCII byte {data[exc.start]:#04x}")
-    return ParseError(1, "file changed while it was read")
+        for piece in fh:  # pieces end at \n, so none splits a \r\n
+            try:
+                piece.decode("ascii")
+            except UnicodeDecodeError as exc:
+                # the bad byte starts or ends a line
+                line += len(split(piece[: exc.start] + b"x")) - 1
+                return ParseError(line, f"non-ASCII byte {piece[exc.start]:#04x}")
+            line += len(split(piece))
+    return otherwise or ParseError(1, "file changed while it was read")

@@ -249,8 +249,8 @@ class BlockFactor:
         out = np.zeros((2 * n, 2 * n))
         out[:n, :n] = p.omega11
         out[:n, n:] = o12
-        out[n:, :n] = 0.0 - o12.T
-        return out - structure_matrix(n)
+        np.subtract(0.0, o12.T, out=out[n:, :n])
+        return _subtract_structure(out)
 
 
 def structure_matrix(n):
@@ -270,15 +270,31 @@ def _j_times(a):
     return np.vstack([a[n:, :], -a[:n, :]])
 
 
+def _subtract_structure(out):
+    # out - J in place, bitwise: x - (+0.0) keeps every bit of x, so only the
+    # diagonal of the (1,2) block changes there, and subtracting the (2,1)
+    # block -I, whose off-diagonal zeros are -0.0, is adding +I
+    n = out.shape[0] // 2
+    d = np.arange(n)
+    out[d, n + d] -= 1.0
+    out[n:, :n] += 0.0
+    out[n + d, d] += 1.0
+    return out
+
+
 def omega(a):
-    """Structure residual a^T J a - J; zero exactly when a preserves J."""
+    """Structure residual a^T J a - J; zero exactly when a preserves J.
+
+    Bitwise ``matmul(a.T, J a) - structure_matrix(n)``, without a copy of
+    a^T when a equals it bit for bit, and with J subtracted in place.
+    """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionError("omega: matrix must be square")
     if a.shape[0] % 2 != 0:
         raise DimensionError("omega: order must be even")
-    n = a.shape[0] // 2
-    return matmul(a.T, _j_times(a)) - structure_matrix(n)
+    at = a if np.array_equal(a.view(np.uint64), a.T.view(np.uint64)) else a.T
+    return _subtract_structure(matmul(at, _j_times(a)))
 
 
 def loss_of_symplecticity(a):

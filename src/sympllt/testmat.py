@@ -69,6 +69,10 @@ class SplitMix64:
         transcendental kernels.  A zero first uniform would shift the
         pairing of the redraw; the block then falls back to ``normal_pair``.
         """
+        return self._normal_array(count).tolist()
+
+    def _normal_array(self, count):
+        # normals(count) as a float64 array
         pairs = (max(count, 0) + 1) // 2
         steps = np.arange(1, 2 * pairs + 1, dtype=np.uint64)
         words = _mix(np.uint64(self.state) + steps * np.uint64(_GOLDEN))
@@ -78,21 +82,20 @@ class SplitMix64:
             out = []
             while len(out) < count:
                 out.extend(self.normal_pair())
-            return out[:count]
+            return np.array(out[:count])
         self.state = (self.state + 2 * pairs * _GOLDEN) & _MASK
         r = np.sqrt(-2.0 * np.array(list(map(math.log, u1.tolist()))))
         angle = ((2.0 * math.pi) * u2).tolist()
         out = np.empty(2 * pairs)
         out[0::2] = r * np.array(list(map(math.cos, angle)))
         out[1::2] = r * np.array(list(map(math.sin, angle)))
-        return out[:count].tolist()
+        return out[:count]
 
 
 def standard_normal_matrix(n, seed):
     """n x n matrix of standard normals, filled column by column."""
     rng = SplitMix64(seed)
-    vals = rng.normals(n * n)
-    return np.array(vals, dtype=np.float64).reshape((n, n), order="F").copy()
+    return rng._normal_array(n * n).reshape((n, n), order="F").copy()
 
 
 def _check_finite(a, family):

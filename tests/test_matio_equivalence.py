@@ -1,0 +1,180 @@
+"""read_matrix against a frozen copy of the whole-text reader.
+
+The reader streams the file a line at a time; the frozen copy below reads
+the whole text, splits it with ``str.splitlines`` and parses the list.  On
+every input the two must return the same array bits, or raise a
+ParseError with the same line and message.  The inputs are the matrix
+files ``test_fuzz.py`` draws, and by hand the cases where streaming could
+differ: a problem in an early block of a file whose non-ASCII byte comes
+later, line ends other than \\n, and headers that claim more than the file
+holds.
+"""
+
+import numpy as np
+import pytest
+
+from sympllt import ParseError, read_matrix
+from sympllt.testmat import SplitMix64
+
+import test_fuzz
+
+
+def frozen_read_matrix(path):
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise frozen_non_ascii_error(path) from None
+
+    k = 0
+    while k < len(lines) and lines[k].lstrip().startswith("#"):
+        k += 1
+    if k >= len(lines):
+        raise ParseError(len(lines) + 1, "missing header line")
+    header = lines[k].split()
+    if len(header) != 2:
+        raise ParseError(k + 1, f"header must be 'rows cols', got {lines[k]!r}")
+    try:
+        if "_" in lines[k]:
+            raise ValueError
+        rows, cols = int(header[0]), int(header[1])
+    except ValueError:
+        raise ParseError(k + 1, f"non-integer header fields in {lines[k]!r}") from None
+    if rows < 1 or cols < 1:
+        raise ParseError(k + 1, "rows and cols must be positive")
+
+    out = []
+    for i in range(rows):
+        lineno = k + 2 + i
+        if k + 1 + i >= len(lines):
+            raise ParseError(lineno, f"expected {rows} data rows, file ended early")
+        line = lines[k + 1 + i]
+        parts = line.split()
+        if len(parts) != cols:
+            raise ParseError(lineno, f"expected {cols} values, got {len(parts)}")
+        try:
+            if "_" in line:
+                raise ValueError
+            out.append(np.array(parts, dtype=np.float64))
+            finite = np.isfinite(out[i]).all()
+        except ValueError:
+            finite = False
+        if not finite:
+            raise frozen_bad_token_error(lineno, parts)
+    for extra in range(k + 1 + rows, len(lines)):
+        if lines[extra].strip():
+            raise ParseError(extra + 1, f"extra data after the {rows} declared rows")
+    return np.array(out)
+
+
+def frozen_bad_token_error(lineno, parts):
+    for tok in parts:
+        try:
+            if "_" in tok:
+                raise ValueError
+            val = float(tok)
+        except ValueError:
+            return ParseError(lineno, f"bad float literal {tok!r}")
+        if not np.isfinite(val):
+            return ParseError(lineno, f"non-finite value {tok!r}")
+
+
+def frozen_non_ascii_error(path):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start] + b"x"
+        return ParseError(len(head.decode("ascii").splitlines()),
+                          f"non-ASCII byte {data[exc.start]:#04x}")
+    return ParseError(1, "file changed while it was read")
+
+
+def outcome(read, path):
+    """('array', shape, bits) or ('error', line, message) of one read."""
+    try:
+        a = read(path)
+    except ParseError as exc:
+        return "error", exc.line, str(exc)
+    return "array", a.shape, a.view(np.uint64).tobytes()
+
+
+def assert_same(path):
+    want = outcome(frozen_read_matrix, path)
+    assert outcome(read_matrix, path) == want
+    return want
+
+
+def test_fuzzed_matrix_files_read_as_before(tmp_path):
+    rng = SplitMix64(424242)
+    kinds = set()
+    for case in range(600):
+        path = test_fuzz.matrix_file(rng, tmp_path / f"in{case % 4}.mat")
+        kinds.add(assert_same(path)[0])
+    assert kinds == {"array", "error"}
+
+
+def rows_text(rows, cols, bad_line=None):
+    """A rows x cols file; data line ``bad_line`` (1-based in the file) holds a bad literal."""
+    lines = [f"{rows} {cols}"] + [" ".join(["1.5"] * cols)] * rows
+    if bad_line is not None:
+        lines[bad_line - 1] = " ".join(["1"] * (cols - 1) + ["x"])
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("bad_line,latin_line", [(2, 5003), (2, 5001), (4000, 5002), (None, 2)])
+def test_non_ascii_byte_beyond_the_first_block_wins(tmp_path, bad_line, latin_line):
+    # 5001 rows of 2 values: far more than one 8 KB block of the decoder
+    text = rows_text(5001, 2, bad_line).encode("ascii").split(b"\n")
+    text[latin_line - 1] += b" \xc3\xa9"
+    path = tmp_path / "latin.mat"
+    path.write_bytes(b"\n".join(text))
+    assert path.stat().st_size > 8192
+    assert assert_same(path) == ("error", latin_line, f"line {latin_line}: non-ASCII byte 0xc3")
+
+
+@pytest.mark.parametrize("content", [
+    # str.splitlines also ends lines at \f, \v and \x1c-\x1e, inside a data row too
+    "2 2\n1 0\f0 1\n",
+    "2 2\n1 0\v0 1\n",
+    "2 2\n1 0\x1c0 1\n",
+    "2 2\n1 0\x1d0 1\x1e",
+    "2 2\n1 0 \f 0 1\n",
+    "1 2\n1\x0c2\n",
+    "# c\x0c2 2\n1 0\n0 1\n",
+    # \r and \r\n line ends, mixed too
+    "2 2\r1 0\r0 1\r",
+    "2 2\r\n1 0\r\n0 1\r\n",
+    "2 2\r\n1 0\r0 1\n\r\n",
+    "2 2\r1 0\r\r0 1\r",
+    "2 2\r\n1 x\r\n0 1\r\n",
+    # empty, comments only, trailing blank lines
+    "",
+    "\n",
+    "# only a comment\n",
+    "# one\n  # two\n",
+    "2 2\n1 0\n0 1\n\n   \n\t\n",
+    "2 2\n1 0\n0 1\n\n\n7\n",
+    "2 2\n1 0\n0 1",
+    # headers that claim more than the file holds
+    "1000000000000 2\n1 2\n",
+    "1000000000000 1000000000000\n1 2\n",
+    "3 2\n1 2\n",
+])
+def test_line_ends_and_short_files_read_as_before(tmp_path, content):
+    path = tmp_path / "f.mat"
+    path.write_bytes(content.encode("ascii"))
+    assert_same(path)
+
+
+@pytest.mark.parametrize("pad", range(8180, 8196))
+def test_a_line_end_across_a_block_boundary(tmp_path, pad):
+    # a comment long enough to put "\r\n" (or "\r" then "\n") at the decoder's block edge
+    path = tmp_path / "edge.mat"
+    path.write_bytes(b"#" + b"c" * pad + b"\r\n2 2\r\n1 0\r\n0 1\r\n")
+    assert assert_same(path)[0] == "array"
+    path.write_bytes(b"#" + b"c" * pad + b"\r#\r\n2 2\r1 0\n0 1\n")
+    assert assert_same(path)[0] == "array"
+    path.write_bytes(b"#" + b"c" * pad + b"\r\r\n2 2\n1 0\n0 1\n")  # a blank header
+    assert assert_same(path)[:2] == ("error", 2)

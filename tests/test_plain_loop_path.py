@@ -1,6 +1,6 @@
-"""The golden digests and the frozen-copy gates again, on the plain loop.
+"""The golden digests, the frozen-copy and the memory gates again, on the plain loop.
 
-Every test of the three modules imported below runs here a second time
+Every test of the four modules imported below runs here a second time
 with ``dense._EINSUM_EXACT`` forced false, as on a host whose einsum the
 import-time probe rejects, so both of matmul's paths are held to the
 same committed digests and frozen copies.  ``np.einsum`` is replaced by
@@ -13,9 +13,11 @@ import pytest
 import test_block_products
 import test_golden_digests
 import test_matmul_equivalence
+import test_memory_gates
 from sympllt import dense
 
-for _module in (test_golden_digests, test_matmul_equivalence, test_block_products):
+for _module in (test_golden_digests, test_matmul_equivalence, test_block_products,
+                test_memory_gates):
     globals().update({name: test for name, test in vars(_module).items()
                       if name.startswith("test_")})
 
