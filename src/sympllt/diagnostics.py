@@ -3,6 +3,7 @@ size sweeps, and the aggregated bound-check suite."""
 
 import csv
 import math
+import os
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -157,13 +158,58 @@ def run_sweep(family, n_from, n_to, seed=0):
     The random family derives the per-size seed as seed + n, so a sweep is
     reproducible from its single seed.  Factorization failures mark their
     row and the sweep continues.
+
+    With more than one CPU in the affinity mask and no other thread in
+    the process, the rows are computed in forked worker processes, one
+    per CPU, largest n first, each whole in one process by the same code
+    and LAPACK: every bit is that of the in-process loop, the rows come
+    back in ascending n, and a raising row raises here, the lowest n's.
+    One CPU (``taskset -c 0``), one row, no ``fork``, or another thread
+    (a Python thread makes forking unsafe; a multi-threaded BLAS's pool
+    would be multiplied past the CPUs) keeps the loop in this process.
+    A profiler in this process sees only the waiting parent, and a large
+    ``n_to`` holds one row per worker in memory at once.
     """
     if family not in SWEEP_FAMILIES:
         raise UsageError(f"run_sweep: unsupported family {family!r}")
     if not 1 <= n_from <= n_to <= SWEEP_FAMILIES[family]:
         raise UsageError(f"run_sweep: bad range {n_from}..{n_to}"
                          f" ({family} takes n in 1..{SWEEP_FAMILIES[family]})")
-    return [_family_row(family, n=n, seed=seed + n) for n in range(n_from, n_to + 1)]
+    sizes = range(n_from, n_to + 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(sizes))
+    if workers > 1 and _single_threaded():
+        # imported only where a sweep forks: the import takes tens of
+        # milliseconds, which no other command should pay at start-up
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            return _rows_in_workers(multiprocessing.get_context("fork"), workers,
+                                    family, sizes, seed)
+    return [_family_row(family, n=n, seed=seed + n) for n in sizes]
+
+
+def _single_threaded():
+    # counts native threads too, which Python's threading module does not
+    # see; where /proc cannot tell, assume another thread
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _rows_in_workers(context, workers, family, sizes, seed):
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        # the largest rows first, so that no long row starts last
+        futures = {n: pool.submit(_family_row, family, n=n, seed=seed + n)
+                   for n in reversed(sizes)}
+        try:
+            return [futures[n].result() for n in sizes]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _record(row):

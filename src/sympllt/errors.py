@@ -1,8 +1,16 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class SympLLTError(Exception):
     """Base class for all library errors."""
+
+    def __reduce__(self):
+        # pickle rebuilds the exception from its message without calling
+        # __init__, whose parameters a subclass chooses, then restores the
+        # attributes, so an error crosses a process boundary unchanged
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class DimensionError(SympLLTError):

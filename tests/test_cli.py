@@ -317,10 +317,16 @@ def test_unwritable_out_fails_before_the_work(tmp_path, capsys, monkeypatch, com
 def test_each_output_path_is_checked_once_before_the_work(tmp_path, monkeypatch, command):
     from sympllt import cli
 
-    calls = []
+    # a file, not a list: sweep rows may be computed in forked workers,
+    # whose appends to a list in this process would not show
+    log = tmp_path / "calls.log"
 
     def recorded(name, fn):
-        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+        def call(*args, **kwargs):
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(name + "\n")
+            return fn(*args, **kwargs)
+        return call
 
     src = tmp_path / "a.mat"
     matio.write_matrix(src, minij())
@@ -340,6 +346,7 @@ def test_each_output_path_is_checked_once_before_the_work(tmp_path, monkeypatch,
                         recorded("generate_family", diagnostics.generate_family))
     monkeypatch.setattr(diagnostics, "diagnose", recorded("diagnose", diagnostics.diagnose))
     assert main(args) == 0
+    calls = log.read_text(encoding="ascii").split()
     assert calls[0] == "require_writable"
     assert calls.count("require_writable") == 1
     assert len(calls) > 1
