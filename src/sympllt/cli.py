@@ -38,20 +38,24 @@ def _build_parser():
     gen = sub.add_parser("gen", help="generate a test matrix and write it to a file")
     add_family_arguments(gen, required=True)
     gen.add_argument("--out", required=True)
+    gen.set_defaults(run=_cmd_gen)
 
     fac = sub.add_parser("factor", help="factor a matrix file, write the block factor")
     fac.add_argument("--alg", required=True, choices=["w1", "w2"])
     fac.add_argument("--in", dest="infile", required=True)
     fac.add_argument("--out", required=True)
+    fac.set_defaults(run=_cmd_factor)
 
     diag = sub.add_parser("diagnose", help="print all diagnostics for one matrix")
     add_family_arguments(diag, required=False)
     diag.add_argument("--in", dest="infile")
     diag.add_argument("--csv")
+    diag.set_defaults(run=_cmd_diagnose)
 
     tab = sub.add_parser("table", help="recompute one of the three report tables")
     tab.add_argument("--id", type=int, required=True, choices=[1, 2, 3])
     tab.add_argument("--csv")
+    tab.set_defaults(run=_cmd_table)
 
     sweep = sub.add_parser("sweep", help="diagnostics over a range of sizes")
     sweep.add_argument("--family", default="random", choices=list(diagnostics.SWEEP_FAMILIES))
@@ -59,12 +63,14 @@ def _build_parser():
     sweep.add_argument("--to", dest="n_to", type=int, required=True)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--csv", required=True)
+    sweep.set_defaults(run=_cmd_sweep)
 
     chk = sub.add_parser("check", help="run the full bound-check suite")
     chk.add_argument("--scope", default="all")
     chk.add_argument("--inject-w2-fault", action="store_true",
                      help="corrupt the computed w2 factor to prove the "
                           "backward check can fail (self-test)")
+    chk.set_defaults(run=_cmd_check)
     return parser
 
 
@@ -140,16 +146,6 @@ def _cmd_check(args):
     return report.exit_code
 
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "factor": _cmd_factor,
-    "diagnose": _cmd_diagnose,
-    "table": _cmd_table,
-    "sweep": _cmd_sweep,
-    "check": _cmd_check,
-}
-
-
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -160,7 +156,7 @@ def main(argv=None):
         # an overflow is reported by the exit code and the error line, so
         # numpy need not warn of it (reading an --in file, for instance)
         with np.errstate(over="ignore", invalid="ignore"):
-            return _COMMANDS[args.command](args)
+            return args.run(args)
     except (UsageError, ParseError, DimensionError, InvalidEntryError, DomainError,
             OSError) as exc:
         # OSError: an --in file that cannot be read or an --out/--csv path

@@ -134,33 +134,29 @@ def condition_number(a):
     symmetric eigensolver; anything else multiplies the spectral norms of
     the matrix and of its inverse obtained by factorization-based solves.
     """
-    a = as_matrix(a)
-    if a.size == 0 or a.shape[0] != a.shape[1]:
-        raise DimensionError("condition_number: matrix must be square and non-empty")
-    _require_finite(a, "condition_number")
-    return _condition(a, _symmetric_eigenvalues(a))
+    return norm_and_condition(a)[1]()
 
 
 def norm_and_condition(a):
     """``spectral_norm(a)`` and a function returning ``condition_number(a)``.
 
     Both values come from one symmetric eigensolve when ``a`` is bitwise
-    symmetric, and are bitwise those of the two separate calls.  The
-    condition number is deferred so that a caller keeps the norm of a
-    singular matrix and sees condition_number's SingularError where it
-    asks for the condition number.  The function holds ``a`` only when
-    the eigenvalues cannot give it (an indefinite or singular ``a``); for
-    a positive definite one it keeps just the eigenvalues.
+    symmetric, and a condition number formed from the inverse reuses the
+    norm, which is bitwise ``spectral_norm(a)``.  The condition number is
+    deferred so that a caller keeps the norm of a singular matrix and sees
+    its SingularError only where it asks for it.  The function holds ``a``
+    only when the eigenvalues cannot give it (an indefinite or singular
+    ``a``); for a positive definite one it keeps just the eigenvalues.
     """
     a = as_matrix(a)
     if a.size == 0 or a.shape[0] != a.shape[1]:
-        raise DimensionError("norm_and_condition: matrix must be square and non-empty")
-    _require_finite(a, "norm_and_condition")
+        raise DimensionError("condition number: matrix must be square and non-empty")
+    _require_finite(a, "condition number")
     ev = _symmetric_eigenvalues(a)
     norm = _norm(a, ev)
     if ev is not None and ev[0] > 0.0:
         a = None  # _condition then takes the eigenvalue ratio alone
-    return norm, lambda: _condition(a, ev)
+    return norm, lambda: _condition(a, ev, norm)
 
 
 def _symmetric_eigenvalues(a):
@@ -174,7 +170,7 @@ def _norm(a, ev):
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def _condition(a, ev):
+def _condition(a, ev, norm):
     if ev is not None:
         if ev[0] > 0.0:
             return float(ev[-1] / ev[0])
@@ -184,7 +180,7 @@ def _condition(a, ev):
         inv = np.linalg.solve(a, np.eye(a.shape[0]))
     except np.linalg.LinAlgError as exc:
         raise SingularError(f"condition_number: {exc}") from exc
-    kappa = _norm(a, ev) * spectral_norm(inv)
+    kappa = norm * spectral_norm(inv)
     if not np.isfinite(kappa):
         raise SingularError("condition_number: singular to working precision")
     return float(kappa)

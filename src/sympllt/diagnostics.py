@@ -164,9 +164,9 @@ def run_sweep(family, n_from, n_to, seed=0):
     per CPU, largest n first, each whole in one process by the same code
     and LAPACK: every bit is that of the in-process loop, the rows come
     back in ascending n, and a raising row raises here, the lowest n's.
-    One CPU (``taskset -c 0``), one row, no ``fork``, or another thread
-    (a Python thread makes forking unsafe; a multi-threaded BLAS's pool
-    would be multiplied past the CPUs) keeps the loop in this process.
+    One CPU (``taskset -c 0``), one row, or another thread (a Python
+    thread makes forking unsafe; a multi-threaded BLAS's pool would be
+    multiplied past the CPUs) keeps the loop in this process.
     A profiler in this process sees only the waiting parent, and a large
     ``n_to`` holds one row per worker in memory at once.
     """
@@ -179,13 +179,7 @@ def run_sweep(family, n_from, n_to, seed=0):
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(sizes))
     if workers > 1 and _single_threaded():
-        # imported only where a sweep forks: the import takes tens of
-        # milliseconds, which no other command should pay at start-up
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            return _rows_in_workers(multiprocessing.get_context("fork"), workers,
-                                    family, sizes, seed)
+        return _rows_in_workers(workers, family, sizes, seed)
     return [_family_row(family, n=n, seed=seed + n) for n in sizes]
 
 
@@ -198,10 +192,13 @@ def _single_threaded():
         return False
 
 
-def _rows_in_workers(context, workers, family, sizes, seed):
+def _rows_in_workers(workers, family, sizes, seed):
+    # imported only where a sweep forks: the import takes tens of
+    # milliseconds, which no other command should pay at start-up
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
         # the largest rows first, so that no long row starts last
         futures = {n: pool.submit(_family_row, family, n=n, seed=seed + n)
                    for n in reversed(sizes)}

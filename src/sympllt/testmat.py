@@ -59,8 +59,8 @@ class SplitMix64:
         return r * math.cos(angle), r * math.sin(angle)
 
     def normals(self, count):
-        """``count`` standard normals: the first values of successive
-        ``normal_pair()`` draws, bitwise.
+        """``count`` standard normals as a float64 array: the first values
+        of successive ``normal_pair()`` draws, bitwise.
 
         The state after i steps is seed + i * golden (mod 2^64), so the
         whole block of words is mixed at once in uint64 arithmetic.  The
@@ -69,10 +69,6 @@ class SplitMix64:
         transcendental kernels.  A zero first uniform would shift the
         pairing of the redraw; the block then falls back to ``normal_pair``.
         """
-        return self._normal_array(count).tolist()
-
-    def _normal_array(self, count):
-        # normals(count) as a float64 array
         pairs = (max(count, 0) + 1) // 2
         steps = np.arange(1, 2 * pairs + 1, dtype=np.uint64)
         words = _mix(np.uint64(self.state) + steps * np.uint64(_GOLDEN))
@@ -95,7 +91,7 @@ class SplitMix64:
 def standard_normal_matrix(n, seed):
     """n x n matrix of standard normals, filled column by column."""
     rng = SplitMix64(seed)
-    return rng._normal_array(n * n).reshape((n, n), order="F").copy()
+    return rng.normals(n * n).reshape((n, n), order="F").copy()
 
 
 def _check_finite(a, family):
@@ -238,7 +234,7 @@ def pdp_assemble(g, h):
 
 
 # the largest n random_pdp makes (order 2000): generation time grows as n^3
-# and memory, with the normals held as Python floats, as n^2
+# and memory as n^2
 RANDOM_MAX_N = 1000
 # the largest n pascal_symplectic makes: every entry stays well below 2^53
 PASCAL_MAX_N = 16

@@ -291,10 +291,43 @@ SPECTRA = [
 ]
 
 
+def frozen_norm(a):
+    """spectral_norm's dispatch: the symmetric eigensolver for a bitwise
+    symmetric ``a``, LAPACK's SVD otherwise."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    if np.array_equal(a, a.T):
+        ev = np.linalg.eigvalsh(a)
+        return float(max(abs(ev[0]), abs(ev[-1])))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def frozen_condition_number(a):
+    """condition_number as it was with its own dispatch, before it became
+    norm_and_condition's deferred value: the eigenvalue ratio of a positive
+    definite ``a``, else ||a|| ||a^-1|| with ||a|| computed after the solve."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    ev = np.linalg.eigvalsh(a) if np.array_equal(a, a.T) else None
+    if ev is not None:
+        if ev[0] > 0.0:
+            return float(ev[-1] / ev[0])
+        if ev[0] == 0.0 or ev[-1] == 0.0:
+            raise SingularError("condition_number: zero eigenvalue")
+    try:
+        inv = np.linalg.solve(a, np.eye(a.shape[0]))
+    except np.linalg.LinAlgError as exc:
+        raise SingularError(f"condition_number: {exc}") from exc
+    kappa = frozen_norm(a) * frozen_norm(inv)
+    if not np.isfinite(kappa):
+        raise SingularError("condition_number: singular to working precision")
+    return float(kappa)
+
+
 @pytest.mark.parametrize("a", SPECTRA, ids=range(len(SPECTRA)))
 def test_norm_and_condition_match_the_separate_calls(a):
     norm, kappa = norm_and_condition(a)
-    assert float_bits([norm, kappa()]) == float_bits([spectral_norm(a), condition_number(a)])
+    want = float_bits([frozen_norm(a), frozen_condition_number(a)])
+    assert float_bits([norm, kappa()]) == want
+    assert float_bits([spectral_norm(a), condition_number(a)]) == want
 
 
 @pytest.mark.parametrize("a", [np.diag([1.0, 0.0]), np.diag([0.0, -1.0]),
@@ -302,12 +335,31 @@ def test_norm_and_condition_match_the_separate_calls(a):
                                np.array([[1.0, 1.0], [0.0, 0.0]])])
 def test_norm_and_condition_singular(a):
     norm, kappa = norm_and_condition(a)
-    assert float_bits([norm]) == float_bits([spectral_norm(a)])
-    with pytest.raises(SingularError) as separate:
-        condition_number(a)
-    with pytest.raises(SingularError) as shared:
+    assert float_bits([norm]) == float_bits([spectral_norm(a)]) == float_bits([frozen_norm(a)])
+    with pytest.raises(SingularError) as frozen:
+        frozen_condition_number(a)
+    for path in (kappa, lambda: condition_number(a)):
+        with pytest.raises(SingularError) as got:
+            path()
+        assert str(got.value) == str(frozen.value)
+
+
+@pytest.mark.parametrize("a", [a for a in SPECTRA if not np.array_equal(a, a.T)])
+def test_kappa_of_a_non_symmetric_matrix_takes_two_svds(monkeypatch, a):
+    # its own and its inverse's, as with the frozen copy: the norm is not redone
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for kappa in (lambda: frozen_condition_number(a), lambda: condition_number(a),
+                  lambda: norm_and_condition(a)[1]()):
+        calls.clear()
         kappa()
-    assert str(shared.value) == str(separate.value)
+        assert len(calls) == 2 and np.array_equal(calls[0], a)
 
 
 def test_norm_and_condition_shape_is_checked():
@@ -315,6 +367,14 @@ def test_norm_and_condition_shape_is_checked():
         norm_and_condition(np.ones((2, 3)))
     with pytest.raises(DimensionError):
         norm_and_condition(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("a", [np.ones((2, 3)), np.zeros((0, 0))], ids=["2x3", "empty"])
+def test_both_entry_points_reject_a_shape_in_the_same_words(a):
+    for entry in (condition_number, norm_and_condition):
+        with pytest.raises(DimensionError) as exc:
+            entry(a)
+        assert str(exc.value) == "condition number: matrix must be square and non-empty"
 
 
 def test_cached_products_are_read_only():

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import pytest
 
 import sympllt
 from sympllt import diagnostics, matio
-from sympllt.cli import main
+from sympllt.cli import _build_parser, main
 from sympllt.testmat import minij, hyperbolic_spd
 
 
@@ -177,6 +178,15 @@ def test_check_fault_injection_nonzero_exit(capsys):
     code = main(["check", "--scope", "minij", "--inject-w2-fault"])
     assert code == 1
     assert "violated" in capsys.readouterr().out
+
+
+def test_every_subcommand_names_its_handler():
+    # a subcommand added without set_defaults(run=...) fails here, not in main
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sub.choices
+    for name, command in sub.choices.items():
+        assert callable(command.get_default("run")), name
 
 
 def test_usage_error_exit_code():

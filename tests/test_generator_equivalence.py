@@ -8,6 +8,7 @@ it.  Values are compared as uint64 views, so -0.0 vs +0.0 counts.
 
 import math
 
+import numpy as np
 import pytest
 
 from sympllt.testmat import SplitMix64, standard_normal_matrix
@@ -79,7 +80,8 @@ def seed_with_small_word(step, word):
 def test_normals_match_scalar_loop(seed, count):
     got, want = SplitMix64(seed), FrozenSplitMix64(seed)
     values = got.normals(count)
-    assert isinstance(values, list) and len(values) == count
+    assert isinstance(values, np.ndarray)
+    assert values.dtype == np.float64 and values.shape == (count,)
     assert bits(values) == bits(want.normals(count))
     assert got.state == want.state
 

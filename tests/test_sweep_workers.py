@@ -115,16 +115,10 @@ def _one_cpu(m):
     _cpus(m, 1)
 
 
-def _no_fork(m):
-    _forkable(m)
-    m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-
-
 @pytest.mark.parametrize("condition, sweep", [
     (_one_cpu, ("random", 1, 6, 3)),
     (_forkable, ("random", 7, 7, 3)),
-    (_no_fork, ("random", 1, 6, 3)),
-], ids=["one-cpu", "one-row", "no-fork"])
+], ids=["one-cpu", "one-row"])
 def test_conditions_that_keep_the_loop_in_process(monkeypatch, pids, condition, sweep):
     _cpus(monkeypatch, 2)
     condition(monkeypatch)
