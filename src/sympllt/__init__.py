@@ -3,6 +3,7 @@ with numeric verification of the associated error and structure bounds."""
 
 from .checks import (
     BoundCheckResult,
+    CheckSuiteReport,
     check_condition_bounds,
     check_omega_factor_bounds,
     check_perturbation_bounds,
@@ -20,7 +21,6 @@ from .dense import (
     spectral_norm,
 )
 from .diagnostics import (
-    CheckSuiteReport,
     DiagnosticsRow,
     diagnose,
     read_csv,

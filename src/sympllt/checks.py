@@ -19,8 +19,10 @@ from .dense import EPS, condition_number, frobenius_norm, matmul, spectral_norm
 from .errors import FactorError
 from .factor import require_symmetric, upper_substitute
 from .symplectic import BlockPartition, gamma
+from .testmat import symmetric_perturbation
 
 SLACK = 1e-6
+PERTURBATION_SCALES = (1e-10, 1e-8)  # check_all_bounds' perturbations, times ||a||
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -53,10 +55,31 @@ class BoundCheckResult:
         return self.verdict == HOLDS
 
     def describe(self):
+        prefix = f"[{self.context}] " if self.context else ""
         if self.verdict == SKIPPED:
-            return f"{self.bound_id}: skipped ({self.reason})"
-        return (f"{self.bound_id}: {self.verdict}  lhs={self.lhs:.4e}  "
+            return f"{prefix}{self.bound_id}: skipped ({self.reason})"
+        return (f"{prefix}{self.bound_id}: {self.verdict}  lhs={self.lhs:.4e}  "
                 f"rhs={self.rhs:.4e}  floor={self.floor:.4e}")
+
+
+@dataclass(frozen=True)
+class CheckSuiteReport:
+    results: tuple
+
+    holds = property(lambda self: self._count(HOLDS))
+    violated = property(lambda self: self._count(VIOLATED))
+    skipped = property(lambda self: self._count(SKIPPED))
+
+    def _count(self, verdict):
+        return sum(r.verdict == verdict for r in self.results)
+
+    @property
+    def exit_code(self):
+        return 0 if self.violated == 0 else 1
+
+    def describe(self):
+        return "\n".join([*(r.describe() for r in self.results), f"total: {self.holds} hold, "
+                          f"{self.violated} violated, {self.skipped} skipped"])
 
 
 def check_w2_backward(p, l22_perturbation=0.0):
@@ -232,18 +255,13 @@ def perturbation_experiment(a, e, kind):
 
 def _factor_perturbation(p, e, norm_e, pe, kind):
     bound_id = f"{kind}-perturbation"
-    try:
-        norm_inv_a = p.norm_inv
-    except FactorError as exc:
-        return BoundCheckResult.skip(bound_id, f"not positive definite: {exc}")
-    damp = norm_inv_a * norm_e
-    if damp >= 1.0:
-        return BoundCheckResult.skip(
-            bound_id, f"||inv(a)|| ||e|| = {damp:.3e} is not below 1")
     factor = _PERTURBATION_FACTORS[kind]
     try:
-        before = factor(p)
-        after = factor(pe)
+        damp = p.norm_inv * norm_e
+        if damp >= 1.0:
+            return BoundCheckResult.skip(
+                bound_id, f"||inv(a)|| ||e|| = {damp:.3e} is not below 1")
+        before, after = factor(p), factor(pe)
     except FactorError as exc:
         return BoundCheckResult.skip(bound_id, f"not positive definite: {exc}")
     delta = after - before
@@ -272,15 +290,16 @@ def check_schur_perturbation(p, e):
 
 def _schur_perturbation(p, e, norm_e, pe):
     ids = ("leading-inverse-perturbation", "schur-perturbation")
+
+    def skipped(reason):
+        return [BoundCheckResult.skip(i, reason) for i in ids]
     norm_a = p.norm
     if norm_e > 1e-6 * norm_a:
-        reason = f"||e|| = {norm_e:.3e} above 1e-6 ||a||"
-        return [BoundCheckResult.skip(i, reason) for i in ids]
+        return skipped(f"||e|| = {norm_e:.3e} above 1e-6 ||a||")
     try:
         pe.cholesky
     except FactorError as exc:
-        reason = f"perturbed matrix not positive definite: {exc}"
-        return [BoundCheckResult.skip(i, reason) for i in ids]
+        return skipped(f"perturbed matrix not positive definite: {exc}")
 
     n = p.n
     e11, e12, e22 = e[:n, :n], e[:n, n:], e[n:, n:]
@@ -292,8 +311,7 @@ def _schur_perturbation(p, e, norm_e, pe):
     q = norm_inv * ne11  # contraction factor of the Neumann series
     if q > 0.5:
         # the dropped remainder is no longer subordinate to the bound itself
-        reason = f"||inv(a11)|| ||e11|| = {q:.3e} above 1/2"
-        return [BoundCheckResult.skip(i, reason) for i in ids]
+        return skipped(f"||inv(a11)|| ||e11|| = {q:.3e} above 1/2")
     base_floor = (10.0 * (norm_e / norm_a) ** 2 * norm_a * max(1.0, norm_w ** 2)
                   + 100.0 * n * EPS * norm_a)
     results = []
@@ -313,4 +331,16 @@ def _schur_perturbation(p, e, norm_e, pe):
                   + 2.0 * ne12 * delta_inv * (norm_a12 + ne12))
     results.append(BoundCheckResult.compare(
         ids[1], lhs, rhs, SLACK, base_floor + tail_schur))
+    return results
+
+
+def check_all_bounds(p, seed, l22_perturbation=0.0):
+    """Every bound check of p: the unperturbed bounds, then the perturbation
+    bounds at each of PERTURBATION_SCALES times ||a||, the k-th perturbation
+    drawn from seed + k.  l22_perturbation is check_w2_backward's fault hook."""
+    results = [check_w2_backward(p, l22_perturbation), check_w1_error_bound(p),
+               *check_omega_factor_bounds(p), *check_condition_bounds(p)]
+    for k, scale in enumerate(PERTURBATION_SCALES):
+        e = symmetric_perturbation(2 * p.n, scale * p.norm, seed + k)
+        results += check_perturbation_bounds(p, e)
     return results

@@ -1,5 +1,5 @@
 """Experiment driver: per-matrix diagnostics, the three report tables,
-size sweeps, and the aggregated bound-check suite."""
+size sweeps, and the fixtures the bound-check suite runs over."""
 
 import csv
 import math
@@ -8,16 +8,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .checks import (
-    HOLDS,
-    SKIPPED,
-    VIOLATED,
-    check_condition_bounds,
-    check_omega_factor_bounds,
-    check_perturbation_bounds,
-    check_w1_error_bound,
-    check_w2_backward,
-)
+# PERTURBATION_SCALES is re-exported for callers that import it from here
+from .checks import PERTURBATION_SCALES, CheckSuiteReport, check_all_bounds
 from .dense import spectral_norm
 from .errors import FactorError, InvalidEntryError, SingularError, UsageError
 from .matio import _non_ascii_error
@@ -29,7 +21,6 @@ from .testmat import (
     minij,
     pascal_symplectic,
     random_pdp,
-    symmetric_perturbation,
     hyperbolic_spd,
     hyperbolic_spd_inverse,
 )
@@ -272,33 +263,8 @@ def format_table(rows, title=""):
 # ---------------------------------------------------------------------------
 # aggregated check suite
 
-@dataclass(frozen=True)
-class CheckSuiteReport:
-    results: tuple
-
-    holds = property(lambda self: self._count(HOLDS))
-    violated = property(lambda self: self._count(VIOLATED))
-    skipped = property(lambda self: self._count(SKIPPED))
-
-    def _count(self, verdict):
-        return sum(r.verdict == verdict for r in self.results)
-
-    @property
-    def exit_code(self):
-        return 0 if self.violated == 0 else 1
-
-    def describe(self):
-        lines = [r.describe() if not r.context else f"[{r.context}] {r.describe()}"
-                 for r in self.results]
-        lines.append(
-            f"total: {self.holds} hold, {self.violated} violated, {self.skipped} skipped"
-        )
-        return "\n".join(lines)
-
-
 RANDOM_FIXTURE_SIZES = (5, 10, 20)
 RANDOM_FIXTURE_SEEDS = (1, 2, 3)
-PERTURBATION_SCALES = (1e-10, 1e-8)
 PASCAL_FIXTURE_SIZES = (2, 6, 8, 10, 12)
 
 
@@ -322,8 +288,8 @@ def standard_fixtures():
 
 
 def run_checks(scope="all", inject_w2_fault=False):
-    """Run every bound check over the fixture set (plus the perturbation
-    experiments at the two standard magnitudes) and aggregate verdicts.
+    """check_all_bounds on each fixture of the set, seeded by the fixture's
+    index, with every result tagged by the fixture's name.
 
     ``scope`` selects one family ('hyperbolic', 'pascal', ...); 'identity' runs
     against the identity matrix alone.  The fault injection flag corrupts
@@ -341,15 +307,5 @@ def run_checks(scope="all", inject_w2_fault=False):
             raise UsageError(f"run_checks: no fixtures match scope {scope!r}")
 
     fault = 1e-3 if inject_w2_fault else 0.0
-    results = []
-    for index, name, p in fixtures:
-        per_fixture = [check_w2_backward(p, l22_perturbation=fault)]
-        per_fixture.append(check_w1_error_bound(p))
-        per_fixture.extend(check_omega_factor_bounds(p))
-        per_fixture.extend(check_condition_bounds(p))
-        for scale_index, scale in enumerate(PERTURBATION_SCALES):
-            seed = 7700 + 13 * index + scale_index
-            e = symmetric_perturbation(2 * p.n, scale * p.norm, seed)
-            per_fixture.extend(check_perturbation_bounds(p, e))
-        results.extend(replace(r, context=name) for r in per_fixture)
-    return CheckSuiteReport(tuple(results))
+    return CheckSuiteReport(tuple(replace(r, context=name) for index, name, p in fixtures
+                                  for r in check_all_bounds(p, 7700 + 13 * index, fault)))

@@ -45,6 +45,7 @@ class PivotNotPositiveError(FactorError):
     """
 
     def __init__(self, index, value, stage="cholesky"):
+        value = float(value)  # a numpy scalar's repr would name its type
         super().__init__(f"pivot {index} is not positive ({value!r}) during {stage}")
         self.index = index
         self.value = value

@@ -172,6 +172,9 @@ def test_check_command_clean(capsys):
     assert main(["check", "--scope", "minij"]) == 0
     out = capsys.readouterr().out
     assert "0 violated" in out
+    # the full run's skip reasons quote pivots, which print as plain floats
+    assert main(["check"]) == 0
+    assert not [line for line in capsys.readouterr().out.splitlines() if "np." in line]
 
 
 def test_check_fault_injection_nonzero_exit(capsys):

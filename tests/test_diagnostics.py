@@ -1,10 +1,14 @@
+import dataclasses
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from sympllt import InvalidEntryError, UsageError, diagnose, run_checks, run_sweep, run_table
+import sympllt
+from sympllt import (InvalidEntryError, UsageError, checks, diagnose, diagnostics, run_checks,
+                     run_sweep, run_table)
 from sympllt.diagnostics import (
     CSV_COLUMNS,
     TABLE_QUANTITIES,
@@ -376,6 +380,39 @@ def test_run_checks_fault_injection_detected():
     assert report.exit_code == 1
     hit = [r for r in report.results if r.bound_id == "w2-backward"]
     assert any(r.verdict == "violated" for r in hit)
+
+
+# --- the verdict layout before the check suite moved into checks, frozen ------
+
+def frozen_result_describe(r):
+    if r.verdict == "skipped":
+        return f"{r.bound_id}: skipped ({r.reason})"
+    return (f"{r.bound_id}: {r.verdict}  lhs={r.lhs:.4e}  "
+            f"rhs={r.rhs:.4e}  floor={r.floor:.4e}")
+
+
+def frozen_report_describe(results):
+    lines = [frozen_result_describe(r) if not r.context
+             else f"[{r.context}] {frozen_result_describe(r)}" for r in results]
+    count = Counter(r.verdict for r in results)
+    lines.append(f"total: {count['holds']} hold, {count['violated']} violated, "
+                 f"{count['skipped']} skipped")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("scope,fault", [
+    ("all", False), ("all", True), ("identity", False), ("pascal", False),
+])
+def test_verdict_lines_keep_their_layout(scope, fault):
+    report = run_checks(scope, inject_w2_fault=fault)
+    assert report.describe() == frozen_report_describe(report.results)
+    for r in report.results:
+        bare = dataclasses.replace(r, context="")
+        assert bare.describe() == frozen_result_describe(r)
+
+
+def test_one_check_suite_report_class():
+    assert sympllt.CheckSuiteReport is diagnostics.CheckSuiteReport is checks.CheckSuiteReport
 
 
 def test_fixture_set_composition():

@@ -86,6 +86,14 @@ def test_cholesky_reports_pivot_index():
     assert err.value.index == 2
 
 
+def test_pivot_error_reports_the_pivot_as_a_python_float():
+    # a numpy scalar would print as np.float64(-1.0) under numpy 2
+    with pytest.raises(PivotNotPositiveError) as err:
+        cholesky_lower(np.diag([1.0, -1.0]))
+    assert str(err.value) == "pivot 2 is not positive (-1.0) during cholesky"
+    assert type(err.value.value) is float
+
+
 def test_cholesky_rejects_asymmetry():
     a = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(DimensionError):

@@ -16,11 +16,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sympllt import checks, dense, diagnostics, factor, symplectic
+from sympllt import checks, dense, factor, symplectic
 from sympllt.checks import (
     EPS,
     SLACK,
     BoundCheckResult,
+    check_all_bounds,
     check_perturbation_bounds,
     check_schur_perturbation,
     perturbation_experiment,
@@ -166,11 +167,42 @@ IDS = [name for name, _ in FIXTURES]
 ])
 def test_run_checks_matches_the_frozen_bounds(monkeypatch, scope, fault):
     actual = run_checks(scope, inject_w2_fault=fault)
-    monkeypatch.setattr(diagnostics, "check_perturbation_bounds", frozen_bounds)
+    monkeypatch.setattr(checks, "check_perturbation_bounds", frozen_bounds)
     expected = run_checks(scope, inject_w2_fault=fault)
     assert result_bits(actual.results) == result_bits(expected.results)
     assert (actual.holds, actual.violated, actual.skipped) == (
         expected.holds, expected.violated, expected.skipped)
+
+
+@pytest.mark.parametrize("name", ["minij", "pascal/6", "random/n5-s2"])
+def test_check_all_bounds_draws_the_kth_perturbation_from_seed_plus_k(name):
+    p = dict(FIXTURES)[name]
+    seed = 4242
+    expected = []
+    for k, scale in enumerate(PERTURBATION_SCALES):
+        e = symmetric_perturbation(2 * p.n, scale * p.norm, seed + k)
+        expected += check_perturbation_bounds(BlockPartition.from_matrix(p.assemble()), e)
+    actual = check_all_bounds(BlockPartition.from_matrix(p.assemble()), seed)
+    assert len(expected) == 10
+    assert result_bits(actual[-10:]) == result_bits(expected)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_damp_skip_factors_nothing_of_a_plus_e(monkeypatch, kind):
+    a = hyperbolic_spd(7.0)
+    e = 1e-4 * np.eye(4)
+    inputs = []
+
+    def recorded(m, stage="cholesky"):
+        inputs.append(np.array(m))
+        return cholesky_lower(m, stage)
+
+    assert rebind(monkeypatch, factor.cholesky_lower, recorded)
+    r = perturbation_experiment(a, e, kind)
+    assert r.verdict == "skipped"
+    assert r.reason.startswith("||inv(a)|| ||e|| = ") and r.reason.endswith(" is not below 1")
+    # the one factorization is a's own Cholesky, behind ||inv(a)||
+    assert [bits(m) for m in inputs] == [bits(a)]
 
 
 def test_suite_counts_are_unchanged():
