@@ -106,6 +106,10 @@ def frobenius_norm(a):
 
 
 def is_bitwise_symmetric(a):
+    """Whether a is square and equals a^T under ``==`` (+0.0 == -0.0, NaN != NaN).
+
+    Equal entries are the same real number, which is all ``eigvalsh`` needs;
+    ``symplectic.omega`` compares uint64 bits, as it multiplies by a for a^T."""
     a = as_matrix(a)
     return a.shape[0] == a.shape[1] and bool(np.array_equal(a, a.T))
 

@@ -8,8 +8,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-# PERTURBATION_SCALES is re-exported for callers that import it from here
-from .checks import PERTURBATION_SCALES, CheckSuiteReport, check_all_bounds
+from .checks import CheckSuiteReport, check_all_bounds
 from .dense import spectral_norm
 from .errors import FactorError, InvalidEntryError, SingularError, UsageError
 from .matio import _non_ascii_error

@@ -35,6 +35,17 @@ def _read_only(a):
     return a
 
 
+def _from_blocks(n, b11, b12, b21, b22):
+    # the 2n x 2n matrix [b11 b12; b21 b22], a scalar block broadcast; the blocks
+    # are arguments, so all of them exist before the output is allocated
+    out = np.empty((2 * n, 2 * n))
+    out[:n, :n] = b11
+    out[:n, n:] = b12
+    out[n:, :n] = b21
+    out[n:, n:] = b22
+    return out
+
+
 @dataclass(frozen=True)
 class BlockPartition:
     """A symmetric 2n x 2n matrix stored as blocks (a21 is implicitly a12^T).
@@ -65,21 +76,10 @@ class BlockPartition:
         if a.shape[0] == 0:
             raise DimensionError("BlockPartition: matrix is empty")
         n = a.shape[0] // 2
-        return cls(
-            n=n,
-            a11=a[:n, :n].copy(),
-            a12=a[:n, n:].copy(),
-            a22=a[n:, n:].copy(),
-        )
+        return cls(n, a[:n, :n].copy(), a[:n, n:].copy(), a[n:, n:].copy())
 
     def assemble(self):
-        n = self.n
-        out = np.empty((2 * n, 2 * n))
-        out[:n, :n] = self.a11
-        out[:n, n:] = self.a12
-        out[n:, :n] = self.a12.T
-        out[n:, n:] = self.a22
-        return out
+        return _from_blocks(self.n, self.a11, self.a12, self.a12.T, self.a22)
 
     @cached_property
     def l11(self):
@@ -208,31 +208,27 @@ class BlockFactor:
     algorithm: str  # 'w1' | 'w2'
 
     def assemble(self):
-        n = self.p.n
-        out = np.zeros((2 * n, 2 * n))
-        out[:n, :n] = self.p.l11
-        out[n:, :n] = self.p.l21
-        out[n:, n:] = self.l22
-        return out
+        return _from_blocks(self.p.n, self.p.l11, 0.0, self.p.l21, self.l22)
 
     def residual(self):
         """a - L L^T against the partition the factor belongs to.
 
         L L^T = [l11 l11^T, l11 l21^T; l21 l11^T, l21 l21^T + l22 l22^T] is
-        formed block by block, the (2,2) block as one product of
-        x = [l21 l22] with x^T.  Each entry adds the nonzero terms of the
-        full product ``matmul(L, L^T)`` in the same order and only skips
-        products with the zero block, so the result is bitwise the same.
+        formed block by block, the (2,2) block as x x^T with x = [l21 l22], and
+        subtracted from the assembled a in place.  Each entry adds the nonzero
+        terms of ``matmul(L, L^T)`` in the same order and only skips products
+        with the zero block, so the result is bitwise the same.
         """
         p, n = self.p, self.p.n
         g11, g21 = p.gram
         x = np.hstack([p.l21, self.l22])
         g22 = matmul(x, x.T)
-        out = np.empty((2 * n, 2 * n))
-        out[:n, :n] = p.a11 - g11
-        out[:n, n:] = p.a12 - g21.T
-        out[n:, :n] = p.a12.T - g21
-        out[n:, n:] = p.a22 - g22
+        del x  # freed before the 2n x 2n output is allocated
+        out = p.assemble()
+        out[:n, :n] -= g11
+        out[:n, n:] -= g21.T
+        out[n:, :n] -= g21
+        out[n:, n:] -= g22
         return out
 
     def omega(self):
@@ -246,9 +242,7 @@ class BlockFactor:
         """
         p, n = self.p, self.p.n
         o12 = matmul(p.l11.T, self.l22)
-        out = np.zeros((2 * n, 2 * n))
-        out[:n, :n] = p.omega11
-        out[:n, n:] = o12
+        out = _from_blocks(n, p.omega11, o12, 0.0, 0.0)
         np.subtract(0.0, o12.T, out=out[n:, :n])
         return _subtract_structure(out)
 
@@ -257,11 +251,7 @@ def structure_matrix(n):
     """The canonical skew-symmetric orthogonal matrix J = [0 I; -I 0]."""
     if n < 1:
         raise DomainError("structure_matrix: n must be >= 1")
-    eye = np.eye(n)
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, n:] = eye
-    out[n:, :n] = -eye
-    return out
+    return _from_blocks(n, 0.0, np.eye(n), -np.eye(n), 0.0)
 
 
 def _j_times(a):
@@ -315,13 +305,7 @@ def omega_blocks(p):
 
 
 def assemble_omega_blocks(o11, o12, o22):
-    n = o11.shape[0]
-    out = np.empty((2 * n, 2 * n))
-    out[:n, :n] = o11
-    out[:n, n:] = o12
-    out[n:, :n] = -o12.T
-    out[n:, n:] = o22
-    return out
+    return _from_blocks(o11.shape[0], o11, o12, -o12.T, o22)
 
 
 def algorithm_w1(p):
@@ -355,12 +339,7 @@ def _structure_inverse(a):
     # J^T a^T J by exact block moves (no arithmetic)
     n = a.shape[0] // 2
     at = a.T
-    out = np.empty_like(a)
-    out[:n, :n] = at[n:, n:]
-    out[:n, n:] = -at[n:, :n]
-    out[n:, :n] = -at[:n, n:]
-    out[n:, n:] = at[:n, :n]
-    return out
+    return _from_blocks(n, at[n:, n:], -at[n:, :n], -at[:n, n:], at[:n, :n])
 
 
 def gamma(n):

@@ -31,9 +31,9 @@ from sympllt import (
     perturbation_experiment,
     spectral_norm,
 )
+from sympllt.checks import PERTURBATION_SCALES
 from sympllt.dense import EPS
 from sympllt.diagnostics import (
-    PERTURBATION_SCALES,
     read_csv,
     run_sweep,
     run_table,

@@ -1,11 +1,12 @@
-"""Memory gates of the ``diagnose --in`` path, and the bits of the in-place ``- J``.
+"""Memory gates of the ``diagnose --in`` path, and the bits of the in-place fills.
 
 Peaks are measured with tracemalloc, which counts numpy's array buffers
 but not LAPACK's own workspaces, so they bound what the Python side
-holds.  ``omega`` and ``BlockFactor.omega`` subtract J in place; they are
-compared as uint64 views with ``out - structure_matrix(n)`` of a frozen
-copy, on results holding -0.0, NaN and infinities.  These tests also run
-with matmul's plain loop forced, in ``test_plain_loop_path.py``.
+holds.  ``omega`` and ``BlockFactor.omega`` subtract J in place, and every
+2n x 2n matrix is filled from its four blocks by one helper; each is
+compared as uint64 views with a frozen copy of the block-by-block fill it
+replaced, on results holding -0.0, NaN and infinities.  These tests also
+run with matmul's plain loop forced, in ``test_plain_loop_path.py``.
 """
 
 import tracemalloc
@@ -15,7 +16,8 @@ import pytest
 
 from sympllt import diagnostics, read_matrix, write_matrix
 from sympllt.dense import matmul
-from sympllt.symplectic import (BlockFactor, BlockPartition, _subtract_structure, omega,
+from sympllt.symplectic import (BlockFactor, BlockPartition, _structure_inverse,
+                                _subtract_structure, assemble_omega_blocks, omega,
                                 structure_matrix)
 from sympllt.testmat import random_pdp, standard_normal_matrix
 
@@ -62,6 +64,14 @@ def held_arrays(obj):
     return found
 
 
+def test_partition_and_diagnose_peak_below_five_and_a_quarter_matrices():
+    # 5.76 order-2n matrices before the 2n x 2n fills took their blocks as arguments
+    a = random_pdp(200, 1).assemble()
+    row, peak = traced_peak(lambda: diagnostics.diagnose(BlockPartition.from_matrix(a)))
+    assert row.ok
+    assert peak < 5.25 * a.nbytes, peak / a.nbytes
+
+
 def test_partition_holds_no_full_order_array_after_diagnose():
     n = 20
     p = BlockPartition.from_matrix(random_pdp(n, 3).assemble())
@@ -72,10 +82,18 @@ def test_partition_holds_no_full_order_array_after_diagnose():
     assert [x.shape for x in held if x.shape == (2 * n, 2 * n)] == []
 
 
+def frozen_structure_matrix(n):
+    eye = np.eye(n)
+    out = np.zeros((2 * n, 2 * n))
+    out[:n, n:] = eye
+    out[n:, :n] = -eye
+    return out
+
+
 def frozen_omega(a):
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[0] // 2
-    return matmul(a.T, np.vstack([a[n:, :], -a[:n, :]])) - structure_matrix(n)
+    return matmul(a.T, np.vstack([a[n:, :], -a[:n, :]])) - frozen_structure_matrix(n)
 
 
 def frozen_factor_omega(f):
@@ -85,7 +103,60 @@ def frozen_factor_omega(f):
     out[:n, :n] = p.omega11
     out[:n, n:] = o12
     out[n:, :n] = 0.0 - o12.T
-    return out - structure_matrix(n)
+    return out - frozen_structure_matrix(n)
+
+
+def frozen_partition_assemble(p):
+    n = p.n
+    out = np.empty((2 * n, 2 * n))
+    out[:n, :n] = p.a11
+    out[:n, n:] = p.a12
+    out[n:, :n] = p.a12.T
+    out[n:, n:] = p.a22
+    return out
+
+
+def frozen_factor_assemble(f):
+    n = f.p.n
+    out = np.zeros((2 * n, 2 * n))
+    out[:n, :n] = f.p.l11
+    out[n:, :n] = f.p.l21
+    out[n:, n:] = f.l22
+    return out
+
+
+def frozen_residual(f):
+    p, n = f.p, f.p.n
+    g11, g21 = p.gram
+    x = np.hstack([p.l21, f.l22])
+    g22 = matmul(x, x.T)
+    out = np.empty((2 * n, 2 * n))
+    out[:n, :n] = p.a11 - g11
+    out[:n, n:] = p.a12 - g21.T
+    out[n:, :n] = p.a12.T - g21
+    out[n:, n:] = p.a22 - g22
+    return out
+
+
+def frozen_assemble_omega_blocks(o11, o12, o22):
+    n = o11.shape[0]
+    out = np.empty((2 * n, 2 * n))
+    out[:n, :n] = o11
+    out[:n, n:] = o12
+    out[n:, :n] = -o12.T
+    out[n:, n:] = o22
+    return out
+
+
+def frozen_structure_inverse(a):
+    n = a.shape[0] // 2
+    at = a.T
+    out = np.empty_like(a)
+    out[:n, :n] = at[n:, n:]
+    out[:n, n:] = -at[n:, :n]
+    out[n:, :n] = -at[:n, n:]
+    out[n:, n:] = at[:n, :n]
+    return out
 
 
 def bits(x):
@@ -146,6 +217,59 @@ def test_factor_omega_in_place_matches_frozen_bits(seed):
     assert np.isnan(want).any() and np.isinf(want).any() and np.isfinite(want).any()
 
 
+def special_factor(seed, n=5):
+    """A factor whose partition and factor blocks hold -0.0, NaN and infinities,
+    built directly because from_matrix refuses a non-finite matrix."""
+    p = BlockPartition(n=n, a11=special_matrix(n, n, seed),
+                       a12=special_matrix(n, n, seed + 1), a22=special_matrix(n, n, seed + 2))
+    l11 = np.tril(special_matrix(n, n, seed + 3, specials=()))
+    l22 = np.triu(special_matrix(n, n, seed + 5, specials=()))
+    # inside the triangles that tril and triu keep
+    l11[n - 1, 0], l22[0, n - 1], l22[1, 1], l22[2, 3] = -0.0, np.nan, -np.inf, -0.0
+    vars(p).update(l11=l11, l21=special_matrix(n, n, seed + 4, specials=(np.inf, -0.0)))
+    return BlockFactor(p, l22, "w2")
+
+
+BLOCK_FILLS = {
+    "partition-assemble": (lambda f: f.p.assemble(), lambda f: frozen_partition_assemble(f.p)),
+    "factor-assemble": (BlockFactor.assemble, frozen_factor_assemble),
+    "residual": (BlockFactor.residual, frozen_residual),
+}
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43])
+@pytest.mark.parametrize("name", list(BLOCK_FILLS))
+def test_block_fill_matches_frozen_bits(name, seed):
+    fill, frozen = BLOCK_FILLS[name]
+    # each from a fresh factor, so neither reads a block cached by the other
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = fill(special_factor(seed)), frozen(special_factor(seed))
+    assert np.array_equal(bits(got), bits(want))
+    assert np.isnan(want).any() and np.isinf(want).any()
+
+
+@pytest.mark.parametrize("seed", [51, 52, 53])
+def test_assemble_omega_blocks_matches_frozen_bits(seed):
+    n = 4
+    blocks = [special_matrix(n, n, seed + 10 * k) for k in range(3)]
+    got, want = assemble_omega_blocks(*blocks), frozen_assemble_omega_blocks(*blocks)
+    assert np.array_equal(bits(got), bits(want))
+    assert np.isnan(want).any() and np.isinf(want).any() and (np.signbit(want) & (want == 0)).any()
+
+
+@pytest.mark.parametrize("name", list(omega_inputs()))
+def test_structure_inverse_matches_frozen_bits(name):
+    a = omega_inputs()[name]
+    got, want = _structure_inverse(a), frozen_structure_inverse(a)
+    assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_structure_matrix_matches_frozen_bits(n):
+    # the (2,1) block's off-diagonal zeros are -0.0
+    assert np.array_equal(bits(structure_matrix(n)), bits(frozen_structure_matrix(n)))
+
+
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_subtract_structure_is_minus_j_bitwise(n):
     # matmul never returns -0.0, so the (2,1) block's -0.0 - (-0.0) = +0.0 is shown here
@@ -153,6 +277,6 @@ def test_subtract_structure_is_minus_j_bitwise(n):
     x[n:, :n] = -0.0
     x[n, 0] = np.nan
     with np.errstate(invalid="ignore"):
-        want = x - structure_matrix(n)
+        want = x - frozen_structure_matrix(n)
     got = _subtract_structure(x.copy())
     assert np.array_equal(bits(got), bits(want))

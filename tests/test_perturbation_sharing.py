@@ -20,6 +20,7 @@ from sympllt import checks, dense, factor, symplectic
 from sympllt.checks import (
     EPS,
     SLACK,
+    PERTURBATION_SCALES,
     BoundCheckResult,
     check_all_bounds,
     check_perturbation_bounds,
@@ -27,9 +28,9 @@ from sympllt.checks import (
     perturbation_experiment,
 )
 from sympllt.dense import frobenius_norm, norm_and_condition, spectral_norm
-from sympllt.diagnostics import (PASCAL_FIXTURE_SIZES, PERTURBATION_SCALES,
-                                 RANDOM_FIXTURE_SEEDS, RANDOM_FIXTURE_SIZES, TABLE_THETAS,
-                                 run_checks, standard_fixtures)
+from sympllt.diagnostics import (PASCAL_FIXTURE_SIZES, RANDOM_FIXTURE_SEEDS,
+                                 RANDOM_FIXTURE_SIZES, TABLE_THETAS, run_checks,
+                                 standard_fixtures)
 from sympllt.errors import DimensionError, FactorError
 from sympllt.factor import (cholesky_lower, require_symmetric, reverse_cholesky_upper,
                             spd_inverse)
