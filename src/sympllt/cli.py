@@ -53,12 +53,13 @@ def _build_parser():
     diag.set_defaults(run=_cmd_diagnose)
 
     tab = sub.add_parser("table", help="recompute one of the three report tables")
-    tab.add_argument("--id", type=int, required=True, choices=[1, 2, 3])
+    tab.add_argument("--id", type=int, required=True, choices=list(diagnostics.TABLES))
     tab.add_argument("--csv")
     tab.set_defaults(run=_cmd_table)
 
     sweep = sub.add_parser("sweep", help="diagnostics over a range of sizes")
-    sweep.add_argument("--family", default="random", choices=list(diagnostics.SWEEP_FAMILIES))
+    sweep.add_argument("--family", default="random", choices=[
+        name for name, (_, _, max_n) in diagnostics.FAMILIES.items() if max_n is not None])
     sweep.add_argument("--from", dest="n_from", type=int, required=True)
     sweep.add_argument("--to", dest="n_to", type=int, required=True)
     sweep.add_argument("--seed", type=int, default=0)

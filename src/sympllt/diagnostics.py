@@ -13,37 +13,30 @@ from .dense import spectral_norm
 from .errors import FactorError, InvalidEntryError, SingularError, UsageError
 from .matio import _non_ascii_error
 from .symplectic import BlockPartition
-from .testmat import (
-    PASCAL_MAX_N,
-    RANDOM_MAX_N,
-    diag_family,
-    minij,
-    pascal_symplectic,
-    random_pdp,
-    hyperbolic_spd,
-    hyperbolic_spd_inverse,
-)
+from .testmat import (PASCAL_MAX_N, RANDOM_MAX_N, diag_family, hyperbolic_spd,
+                      hyperbolic_spd_inverse, minij, pascal_symplectic, random_pdp)
 
-# Every named family: its generator, which takes the family arguments
-# theta, n, t and seed by keyword, ignores those it does not use and returns
-# a BlockPartition, and the argument a diagnostics row reports as its param
-# (None: the row reports 0).
+# Every named family as (generator, param, sweep limit).  The generator takes
+# the family arguments theta, n, t and seed by keyword, ignores those it does
+# not use and returns a BlockPartition; a diagnostics row reports the argument
+# named param (None: 0); a size sweep takes n up to the limit (None: no sweep).
 FAMILIES = {
-    "minij": (lambda **_: BlockPartition.from_matrix(minij()), None),
-    "hyperbolic": (lambda theta, **_: BlockPartition.from_matrix(hyperbolic_spd(theta)), "theta"),
-    "hyperbolic-inverse": (
-        lambda theta, **_: BlockPartition.from_matrix(hyperbolic_spd_inverse(theta)), "theta"),
-    "pascal": (lambda n, **_: pascal_symplectic(n), "n"),
-    "diagt": (lambda t, theta, **_: BlockPartition.from_matrix(diag_family(t, theta)[1]), "t"),
-    "random": (lambda n, seed, **_: random_pdp(n, seed), "n"),
+    "minij": (lambda **_: BlockPartition.from_matrix(minij()), None, None),
+    "hyperbolic": (lambda theta, **_: BlockPartition.from_matrix(
+        hyperbolic_spd(theta)), "theta", None),
+    "hyperbolic-inverse": (lambda theta, **_: BlockPartition.from_matrix(
+        hyperbolic_spd_inverse(theta)), "theta", None),
+    "pascal": (lambda n, **_: pascal_symplectic(n), "n", PASCAL_MAX_N),
+    "diagt": (lambda t, theta, **_: BlockPartition.from_matrix(
+        diag_family(t, theta)[1]), "t", None),
+    "random": (lambda n, seed, **_: random_pdp(n, seed), "n", RANDOM_MAX_N),
 }
-# the families a size sweep runs over, indexed by n, with the largest n of each
-SWEEP_FAMILIES = {"random": RANDOM_MAX_N, "pascal": PASCAL_MAX_N}
+_THETAS = (3.0, 4.0, 6.0, 7.0)  # the thetas of report tables 1 and 2 and of the fixtures
 
 
 def generate_family(name, **args):
     """(BlockPartition, param) of the named family; see FAMILIES."""
-    make, param = FAMILIES[name]
+    make, param, _ = FAMILIES[name]
     return make(**args), (args[param] if param else 0.0)
 
 
@@ -117,15 +110,11 @@ def diagnose(a, family="custom", param=0.0):
         return DiagnosticsRow(error=error, **values)
 
 
-TABLE_THETAS = (3.0, 4.0, 6.0, 7.0)
-TABLE_PASCAL_SIZES = (6, 8, 10, 12)
-
-
-# each report table's family, and the family argument that varies across its columns
+# each report table's rows, one column each in format_table, as (family, args)
 TABLES = {
-    1: ("hyperbolic", "theta", TABLE_THETAS),
-    2: ("hyperbolic-inverse", "theta", TABLE_THETAS),
-    3: ("pascal", "n", TABLE_PASCAL_SIZES),
+    1: [("hyperbolic", {"theta": t}) for t in _THETAS],
+    2: [("hyperbolic-inverse", {"theta": t}) for t in _THETAS],
+    3: [("pascal", {"n": n}) for n in (6, 8, 10, 12)],
 }
 
 
@@ -138,8 +127,7 @@ def run_table(table_id):
     """Rows of report table 1 (S^T S), 2 (its inverse) or 3 (Pascal family)."""
     if table_id not in tuple(TABLES):
         raise UsageError(f"run_table: table id must be 1, 2 or 3, got {table_id!r}")
-    family, arg, values = TABLES[table_id]
-    return [_family_row(family, **{arg: value}) for value in values]
+    return [_family_row(family, **args) for family, args in TABLES[table_id]]
 
 
 def run_sweep(family, n_from, n_to, seed=0):
@@ -160,11 +148,12 @@ def run_sweep(family, n_from, n_to, seed=0):
     A profiler in this process sees only the waiting parent, and a large
     ``n_to`` holds one row per worker in memory at once.
     """
-    if family not in SWEEP_FAMILIES:
+    max_n = FAMILIES[family][2] if family in FAMILIES else None
+    if max_n is None:
         raise UsageError(f"run_sweep: unsupported family {family!r}")
-    if not 1 <= n_from <= n_to <= SWEEP_FAMILIES[family]:
+    if not 1 <= n_from <= n_to <= max_n:
         raise UsageError(f"run_sweep: bad range {n_from}..{n_to}"
-                         f" ({family} takes n in 1..{SWEEP_FAMILIES[family]})")
+                         f" ({family} takes n in 1..{max_n})")
     sizes = range(n_from, n_to + 1)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(sizes))
@@ -262,28 +251,21 @@ def format_table(rows, title=""):
 # ---------------------------------------------------------------------------
 # aggregated check suite
 
-RANDOM_FIXTURE_SIZES = (5, 10, 20)
-RANDOM_FIXTURE_SEEDS = (1, 2, 3)
-PASCAL_FIXTURE_SIZES = (2, 6, 8, 10, 12)
+# the check suite's fixtures as (family, args, label), in seed order: a
+# fixture's index in this list seeds its perturbations (see run_checks)
+FIXTURES = [("minij", {}, ""), *[(family, {"theta": t}, f"{t:g}") for t in _THETAS
+                                 for family in ("hyperbolic", "hyperbolic-inverse")],
+            *[("pascal", {"n": n}, f"{n}") for n in (2, 6, 8, 10, 12)],
+            ("diagt", {"t": 1e6, "theta": 1e-10}, "1e6"),
+            *[("random", {"n": n, "seed": s}, f"n{n}-s{s}")
+              for n in (5, 10, 20) for s in (1, 2, 3)]]
 
 
 def standard_fixtures():
-    """The fixture set the check suite runs over, as (name, partition),
-    each made by its family's generator in FAMILIES.
-
-    Names are '<family>' or '<family>/<label>' so a family can be
-    selected unambiguously.
-    """
-    specs = [("minij", "", {})]
-    for t in TABLE_THETAS:
-        specs.append(("hyperbolic", f"{t:g}", {"theta": t}))
-        specs.append(("hyperbolic-inverse", f"{t:g}", {"theta": t}))
-    specs += [("pascal", f"{n}", {"n": n}) for n in PASCAL_FIXTURE_SIZES]
-    specs.append(("diagt", "1e6", {"t": 1e6, "theta": 1e-10}))
-    specs += [("random", f"n{n}-s{s}", {"n": n, "seed": s})
-              for n in RANDOM_FIXTURE_SIZES for s in RANDOM_FIXTURE_SEEDS]
+    """(name, partition) of each entry of FIXTURES, in order; a name is
+    '<family>' or '<family>/<label>', so that a scope selects one family."""
     return [(f"{family}/{label}" if label else family, generate_family(family, **args)[0])
-            for family, label, args in specs]
+            for family, args, label in FIXTURES]
 
 
 def run_checks(scope="all", inject_w2_fault=False):
@@ -303,7 +285,8 @@ def run_checks(scope="all", inject_w2_fault=False):
         fixtures = [(index, name, p) for index, (name, p) in enumerate(standard_fixtures())
                     if scope in ("all", name.split("/")[0])]
         if not fixtures:
-            raise UsageError(f"run_checks: no fixtures match scope {scope!r}")
+            scopes = ", ".join(["all", "identity", *dict.fromkeys(f for f, _, _ in FIXTURES)])
+            raise UsageError(f"run_checks: no fixtures match scope {scope!r} (scopes: {scopes})")
 
     fault = 1e-3 if inject_w2_fault else 0.0
     return CheckSuiteReport(tuple(replace(r, context=name) for index, name, p in fixtures

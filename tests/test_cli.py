@@ -192,6 +192,28 @@ def test_every_subcommand_names_its_handler():
         assert callable(command.get_default("run")), name
 
 
+def test_cli_choices_come_from_the_registry():
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+
+    def choices(command, option):
+        (action,) = [a for a in sub.choices[command]._actions if option in a.option_strings]
+        return action.choices
+
+    assert choices("gen", "--family") == list(diagnostics.FAMILIES)
+    assert choices("diagnose", "--family") == list(diagnostics.FAMILIES)
+    assert choices("sweep", "--family") == [
+        name for name, (_, _, max_n) in diagnostics.FAMILIES.items() if max_n is not None]
+    assert choices("table", "--id") == list(diagnostics.TABLES)
+
+
+def test_unknown_check_scope_lists_the_scopes(capsys):
+    assert main(["check", "--scope", "X"]) == 2
+    assert capsys.readouterr().err == (
+        "error: run_checks: no fixtures match scope 'X' (scopes: all, identity, minij,"
+        " hyperbolic, hyperbolic-inverse, pascal, diagt, random)\n")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["gen", "--family", "hilbert", "--out", "/tmp/x.mat"])

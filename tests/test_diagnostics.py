@@ -95,7 +95,6 @@ def test_run_table_shapes_and_values():
 def test_run_table_rows_come_from_the_family_registry_unchanged():
     from dataclasses import astuple
 
-    from sympllt.diagnostics import TABLE_PASCAL_SIZES, TABLE_THETAS
     from sympllt.testmat import hyperbolic_spd_inverse
 
     def bits(rows):
@@ -103,16 +102,23 @@ def test_run_table_rows_come_from_the_family_registry_unchanged():
                 for r in rows]
 
     # the rows as run_table once built them, each generator called directly
+    # with the thetas and sizes written out, so that a change to the
+    # registry shows here
+    thetas = (3.0, 4.0, 6.0, 7.0)
     direct = {
-        1: [diagnose(hyperbolic_spd(t), "hyperbolic", t) for t in TABLE_THETAS],
-        2: [diagnose(hyperbolic_spd_inverse(t), "hyperbolic-inverse", t) for t in TABLE_THETAS],
-        3: [diagnose(pascal_symplectic(n), "pascal", n) for n in TABLE_PASCAL_SIZES],
+        1: [diagnose(hyperbolic_spd(t), "hyperbolic", t) for t in thetas],
+        2: [diagnose(hyperbolic_spd_inverse(t), "hyperbolic-inverse", t) for t in thetas],
+        3: [diagnose(pascal_symplectic(n), "pascal", n) for n in (6, 8, 10, 12)],
     }
     for table_id, rows in direct.items():
         assert bits(run_table(table_id)) == bits(rows)
-    for bad in (0, 4, "1", None):
-        with pytest.raises(UsageError):
-            run_table(bad)
+
+
+@pytest.mark.parametrize("bad", [[1], "1", 0, 4, None], ids=["list", "str", "0", "4", "None"])
+def test_run_table_rejects_an_id_outside_the_registry(bad):
+    # [1] is unhashable: a membership test on the dict itself would raise TypeError
+    with pytest.raises(UsageError, match=r"table id must be 1, 2 or 3, got "):
+        run_table(bad)
 
 
 def test_tables_1_and_2_share_kappa():

@@ -28,9 +28,7 @@ from sympllt.checks import (
     perturbation_experiment,
 )
 from sympllt.dense import frobenius_norm, norm_and_condition, spectral_norm
-from sympllt.diagnostics import (PASCAL_FIXTURE_SIZES, RANDOM_FIXTURE_SEEDS,
-                                 RANDOM_FIXTURE_SIZES, TABLE_THETAS, run_checks,
-                                 standard_fixtures)
+from sympllt.diagnostics import run_checks, standard_fixtures
 from sympllt.errors import DimensionError, FactorError
 from sympllt.factor import (cholesky_lower, require_symmetric, reverse_cholesky_upper,
                             spd_inverse)
@@ -293,19 +291,21 @@ def test_a_failed_factor_is_not_cached():
 
 
 def frozen_standard_fixtures():
-    """The fixture set as standard_fixtures() built it family by family."""
+    """The fixture set as standard_fixtures() built it family by family,
+    its sizes, thetas and seeds written out so that a change to the
+    registry shows here."""
     fixtures = [("minij", BlockPartition.from_matrix(minij()))]
-    for t in TABLE_THETAS:
+    for t in (3.0, 4.0, 6.0, 7.0):
         fixtures.append((f"hyperbolic/{t:g}", BlockPartition.from_matrix(hyperbolic_spd(t))))
         fixtures.append(
             (f"hyperbolic-inverse/{t:g}", BlockPartition.from_matrix(hyperbolic_spd_inverse(t)))
         )
-    for n in PASCAL_FIXTURE_SIZES:
+    for n in (2, 6, 8, 10, 12):
         fixtures.append((f"pascal/{n}", pascal_symplectic(n)))
     _, ahat = diag_family(1e6, 1e-10)
     fixtures.append(("diagt/1e6", BlockPartition.from_matrix(ahat)))
-    for n in RANDOM_FIXTURE_SIZES:
-        for s in RANDOM_FIXTURE_SEEDS:
+    for n in (5, 10, 20):
+        for s in (1, 2, 3):
             fixtures.append((f"random/n{n}-s{s}", random_pdp(n, s)))
     return fixtures
 
