@@ -125,7 +125,8 @@ def _family_row(family, **args):
 
 def run_table(table_id):
     """Rows of report table 1 (S^T S), 2 (its inverse) or 3 (Pascal family)."""
-    if table_id not in tuple(TABLES):
+    if (isinstance(table_id, bool) or not isinstance(table_id, (int, np.integer))
+            or table_id not in TABLES):
         raise UsageError(f"run_table: table id must be 1, 2 or 3, got {table_id!r}")
     return [_family_row(family, **args) for family, args in TABLES[table_id]]
 

@@ -126,7 +126,7 @@ def hyperbolic_s(theta):
         s = math.sinh(theta)
     except OverflowError:
         raise InvalidEntryError("hyperbolic_s: generated non-finite entries") from None
-    out = np.array(
+    return np.array(
         [
             [c, s, 0.0, s],
             [s, c, s, 0.0],
@@ -134,7 +134,6 @@ def hyperbolic_s(theta):
             [0.0, 0.0, -s, c],
         ]
     )
-    return _check_finite(out, "hyperbolic_s")
 
 
 def hyperbolic_spd(theta):

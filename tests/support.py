@@ -1,7 +1,9 @@
-"""Helpers shared by the test modules: bitwise views of results, and
-rebinding a library function in every module that imported it."""
+"""Helpers shared by the test modules: bitwise views and digests of
+results, references computed once per input, inputs with special values,
+and rebinding a library function in every module that imported it."""
 
 import dataclasses
+import hashlib
 import sys
 
 import numpy as np
@@ -9,6 +11,57 @@ import numpy as np
 
 def float_bits(values):
     return np.array(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(bits(got), bits(want))
+
+
+def digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a, dtype=np.float64)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+_REFERENCE_DIGESTS = {}
+
+
+def assert_matches_reference(got, reference, *inputs):
+    """assert_same_bits(got, reference(*inputs)), running ``reference`` once per input.
+
+    ``reference`` must be a pure function of its arrays that calls no library
+    kernel, such as ``frozen_matmul``, so the plain-loop rerun can compare with
+    the digest of its result kept by the first run.  On a mismatch it runs
+    again, so a failure shows both arrays, and the kept digest must match."""
+    key = (reference.__module__, reference.__qualname__, digest(inputs))
+    if _REFERENCE_DIGESTS.get(key) == digest([got]):
+        return
+    want = reference(*inputs)
+    assert_same_bits(got, want)
+    kept = _REFERENCE_DIGESTS.setdefault(key, digest([want]))
+    assert kept == digest([want]), f"kept digest of {key} differs from the reference's"
+
+
+def normal(shape, seed):
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+def with_negative_zeros(a):
+    out = np.array(a)
+    out[out == 0.0] = -0.0
+    return out
+
+
+def within_factor(got, expected, factor=10.0):
+    return expected / factor <= got <= expected * factor
 
 
 def row_fields(row):

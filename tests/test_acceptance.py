@@ -44,15 +44,13 @@ from sympllt.factor import spd_solve
 from sympllt.symplectic import assemble_omega_blocks, omega_blocks
 from sympllt.testmat import random_pdp, symmetric_perturbation, hyperbolic_spd
 
+from support import within_factor
+
 SQ2 = math.sqrt(2.0)
 
 
 def _pass(criterion, message):
     print(f"ACCEPTANCE C{criterion}: PASS - {message}")
-
-
-def within_factor(got, expected, factor=10.0):
-    return expected / factor <= got <= expected * factor
 
 
 def criterion_5_6_matrices():

@@ -4,12 +4,14 @@
 L^T J L - J from the blocks of L = [l11 0; l21 l22], and take the blocks
 w1 and w2 share (l11 l11^T, l21 l11^T and the (1,1) block of omega(L))
 from the cache of the partition the factor holds.  The frozen
-full-product forms below are the definitions they replace, and the
-frozen continued sums are the forms the (2,2) block of L L^T and the
-(1,1) block of omega(L) had before they became single products over a
+full-product forms are the definitions they replace, and the frozen
+continued sums are the forms the (2,2) block of L L^T and the (1,1)
+block of omega(L) had before they became single products over a
 concatenated inner dimension; every result must match them bit for bit,
 compared as uint64 views so -0.0 vs +0.0 counts.  The same tests run
-with matmul's plain loop forced in ``test_plain_loop_path.py``.
+with matmul's plain loop forced in ``test_plain_loop_path.py``, where
+the continued sums, which depend only on their inputs, are not computed
+again (``support.assert_matches_reference``).
 """
 
 import dataclasses
@@ -21,65 +23,21 @@ from sympllt import dense
 from sympllt.dense import condition_number, matmul, norm_and_condition, spectral_norm
 from sympllt.diagnostics import diagnose, run_checks, standard_fixtures
 from sympllt.errors import DimensionError, SingularError
-from sympllt.symplectic import BlockFactor, BlockPartition, omega
+from sympllt.symplectic import BlockFactor, BlockPartition
 from sympllt.testmat import hyperbolic_spd, random_pdp
 
-from support import check_fields, float_bits, rebind, row_fields
-
-
-def frozen_residual(f):
-    """a - L L^T from the full 2n x 2n product."""
-    lmat = f.assemble()
-    return f.p.assemble() - matmul(lmat, lmat.T)
-
-
-def frozen_omega(f):
-    """omega(L) from the full 2n x 2n product."""
-    return omega(f.assemble())
-
-
-def plain_matmul(a, b, acc=None):
-    """Every term, ascending k, from +0.0 or from a copy of ``acc``: a frozen
-    copy of ``matmul(a, b, acc)`` from before ``acc`` gave way to products
-    over a concatenated inner dimension."""
-    out = np.zeros((a.shape[0], b.shape[1])) if acc is None else np.array(acc, dtype=float)
-    for k in range(a.shape[1]):
-        out += a[:, k : k + 1] * b[k : k + 1, :]
-    return out
-
-
-def frozen_omega11(p):
-    """omega11 as it was: l11^T l21, continued with l21^T (-l11)."""
-    return plain_matmul(p.l21.T, -p.l11, plain_matmul(p.l11.T, p.l21))
-
-
-def frozen_residual22(f):
-    """The (2,2) block of residual() as it was: a22 - (l21 l21^T continued with l22 l22^T)."""
-    p = f.p
-    return p.a22 - plain_matmul(f.l22, f.l22.T, plain_matmul(p.l21, p.l21.T))
-
-
-def bits(a):
-    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
-
-
-def assert_same_bits(got, want):
-    assert got.shape == want.shape
-    assert np.array_equal(bits(got), bits(want))
+from frozen import (frozen_condition_number, frozen_continued_product, frozen_full_omega,
+                    frozen_full_residual, frozen_norm, frozen_omega11, frozen_residual22)
+from support import (assert_matches_reference, assert_same_bits, check_fields, float_bits,
+                     normal, rebind, row_fields, with_negative_zeros)
 
 
 def assert_block_forms(f):
-    n = f.p.n
-    assert_same_bits(f.residual(), frozen_residual(f))
-    assert_same_bits(f.omega(), frozen_omega(f))
-    assert_same_bits(f.residual()[n:, n:], frozen_residual22(f))
-    assert_same_bits(f.p.omega11, frozen_omega11(f.p))
-
-
-def with_negative_zeros(a):
-    out = np.array(a)
-    out[out == 0.0] = -0.0
-    return out
+    p, n = f.p, f.p.n
+    assert_same_bits(f.residual(), frozen_full_residual(f))
+    assert_same_bits(f.omega(), frozen_full_omega(f))
+    assert_matches_reference(f.residual()[n:, n:], frozen_residual22, p.a22, p.l21, f.l22)
+    assert_matches_reference(p.omega11, frozen_omega11, p.l11, p.l21)
 
 
 # --- one product over a concatenated inner dimension ------------------------
@@ -89,15 +47,11 @@ def with_negative_zeros(a):
 # for the ``acc`` forms they replace, check that identity against the
 # frozen continued sums on the inputs the ``acc`` tests used.
 
-def normal(shape, seed):
-    return np.random.default_rng(seed).standard_normal(shape)
-
-
 def assert_continues(first, second):
     """matmul([a c], [b; d]) is bitwise a b's sums continued with c d's terms."""
     (a, b), (c, d) = first, second
     got = matmul(np.hstack([a, c]), np.vstack([b, d]))
-    assert_same_bits(got, plain_matmul(c, d, plain_matmul(a, b)))
+    assert_matches_reference(got, frozen_continued_product, a, b, c, d)
     return got
 
 
@@ -207,8 +161,8 @@ def test_mix_is_the_coupling_block_of_omega_l2():
 # --- everything built on them, with the frozen forms patched in -------------
 
 def use_frozen_forms(monkeypatch):
-    monkeypatch.setattr(BlockFactor, "residual", frozen_residual)
-    monkeypatch.setattr(BlockFactor, "omega", frozen_omega)
+    monkeypatch.setattr(BlockFactor, "residual", frozen_full_residual)
+    monkeypatch.setattr(BlockFactor, "omega", frozen_full_omega)
 
 
 @pytest.mark.parametrize("n", [5, 40, 100])
@@ -289,37 +243,6 @@ SPECTRA = [
     np.array([[1.0, 2.0], [3.0, 4.0]]),  # not symmetric
     np.array([[2.0, 1.0], [1.0 + 2.0 ** -52, 2.0]]),  # one ulp from symmetric
 ]
-
-
-def frozen_norm(a):
-    """spectral_norm's dispatch: the symmetric eigensolver for a bitwise
-    symmetric ``a``, LAPACK's SVD otherwise."""
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    if np.array_equal(a, a.T):
-        ev = np.linalg.eigvalsh(a)
-        return float(max(abs(ev[0]), abs(ev[-1])))
-    return float(np.linalg.svd(a, compute_uv=False)[0])
-
-
-def frozen_condition_number(a):
-    """condition_number as it was with its own dispatch, before it became
-    norm_and_condition's deferred value: the eigenvalue ratio of a positive
-    definite ``a``, else ||a|| ||a^-1|| with ||a|| computed after the solve."""
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    ev = np.linalg.eigvalsh(a) if np.array_equal(a, a.T) else None
-    if ev is not None:
-        if ev[0] > 0.0:
-            return float(ev[-1] / ev[0])
-        if ev[0] == 0.0 or ev[-1] == 0.0:
-            raise SingularError("condition_number: zero eigenvalue")
-    try:
-        inv = np.linalg.solve(a, np.eye(a.shape[0]))
-    except np.linalg.LinAlgError as exc:
-        raise SingularError(f"condition_number: {exc}") from exc
-    kappa = frozen_norm(a) * frozen_norm(inv)
-    if not np.isfinite(kappa):
-        raise SingularError("condition_number: singular to working precision")
-    return float(kappa)
 
 
 @pytest.mark.parametrize("a", SPECTRA, ids=range(len(SPECTRA)))

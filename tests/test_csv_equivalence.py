@@ -2,13 +2,12 @@
 
 ``CSV_COLUMNS`` and ``TABLE_QUANTITIES`` are derived from the fields of
 ``DiagnosticsRow``, ``write_csv`` formats each field by its type and
-``read_csv`` parses it by its type.  The frozen copies below are the
+``read_csv`` parses it by its type.  The frozen copies are the
 column lists and the per-column-name writer and reader they replace; the
 files must match them byte for byte, and the rows read back must match
 bit for bit, compared as uint64 views so -0.0 vs +0.0 counts.
 """
 
-import csv
 import math
 
 import pytest
@@ -16,48 +15,8 @@ import pytest
 from sympllt import diagnostics
 from sympllt.diagnostics import DiagnosticsRow, read_csv, run_sweep, run_table, write_csv
 
+from frozen import FROZEN_CSV_COLUMNS, FROZEN_TABLE_QUANTITIES, frozen_read_csv, frozen_write_csv
 from support import row_fields
-
-FROZEN_TABLE_QUANTITIES = [
-    "kappa2_A", "norm2_A", "kappa2_A11", "norm2_A11", "norm2_invA11",
-    "dist_sympl", "dist_sympl_rel", "relerr_w1", "relerr_w2",
-    "omega_A", "omega_L1", "omega_L2",
-]
-
-FROZEN_CSV_COLUMNS = ["family", "param", "n", *FROZEN_TABLE_QUANTITIES, "error"]
-
-
-def frozen_write_csv(path, rows):
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FROZEN_CSV_COLUMNS)
-        for row in rows:
-            record = []
-            for name in FROZEN_CSV_COLUMNS:
-                value = getattr(row, name)
-                if name in ("family", "error"):
-                    record.append(value)
-                elif name == "n":
-                    record.append(str(value))
-                else:
-                    record.append(repr(float(value)))
-            writer.writerow(record)
-
-
-def frozen_read_csv(path):
-    rows = []
-    with open(path, newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        assert header == FROZEN_CSV_COLUMNS
-        for record in reader:
-            kw = dict(zip(FROZEN_CSV_COLUMNS, record))
-            kw["param"] = float(kw["param"])
-            kw["n"] = int(kw["n"])
-            for name in FROZEN_TABLE_QUANTITIES:
-                kw[name] = float(kw[name])
-            rows.append(DiagnosticsRow(**kw))
-    return rows
 
 
 def hand_built_rows():

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from sympllt.diagnostics import (
 )
 from sympllt.testmat import pascal_symplectic, random_pdp, hyperbolic_spd
 
+from frozen import frozen_report_describe, frozen_result_describe
 from support import check_fields
 
 
@@ -112,9 +112,11 @@ def test_run_table_rows_come_from_the_family_registry_unchanged():
     }
     for table_id, rows in direct.items():
         assert bits(run_table(table_id)) == bits(rows)
+    assert bits(run_table(np.int64(2))) == bits(direct[2])
 
 
-@pytest.mark.parametrize("bad", [[1], "1", 0, 4, None], ids=["list", "str", "0", "4", "None"])
+@pytest.mark.parametrize("bad", [[1], "1", 0, 4, None, True, 1.0],
+                         ids=["list", "str", "0", "4", "None", "True", "1.0"])
 def test_run_table_rejects_an_id_outside_the_registry(bad):
     # [1] is unhashable: a membership test on the dict itself would raise TypeError
     with pytest.raises(UsageError, match=r"table id must be 1, 2 or 3, got "):
@@ -389,22 +391,6 @@ def test_run_checks_fault_injection_detected():
 
 
 # --- the verdict layout before the check suite moved into checks, frozen ------
-
-def frozen_result_describe(r):
-    if r.verdict == "skipped":
-        return f"{r.bound_id}: skipped ({r.reason})"
-    return (f"{r.bound_id}: {r.verdict}  lhs={r.lhs:.4e}  "
-            f"rhs={r.rhs:.4e}  floor={r.floor:.4e}")
-
-
-def frozen_report_describe(results):
-    lines = [frozen_result_describe(r) if not r.context
-             else f"[{r.context}] {frozen_result_describe(r)}" for r in results]
-    count = Counter(r.verdict for r in results)
-    lines.append(f"total: {count['holds']} hold, {count['violated']} violated, "
-                 f"{count['skipped']} skipped")
-    return "\n".join(lines)
-
 
 @pytest.mark.parametrize("scope,fault", [
     ("all", False), ("all", True), ("identity", False), ("pascal", False),

@@ -6,51 +6,13 @@ Box-Muller loop, and it must leave the stream state where the loop left
 it.  Values are compared as uint64 views, so -0.0 vs +0.0 counts.
 """
 
-import math
-
 import numpy as np
 import pytest
 
 from sympllt.testmat import SplitMix64, standard_normal_matrix
 
+from frozen import GOLDEN, MASK, MUL1, MUL2, FrozenSplitMix64
 from support import float_bits as bits
-
-MASK = (1 << 64) - 1
-GOLDEN = 0x9E3779B97F4A7C15
-MUL1 = 0xBF58476D1CE4E5B9
-MUL2 = 0x94D049BB133111EB
-
-
-class FrozenSplitMix64:
-    """The scalar generator: one word, one uniform, one pair at a time."""
-
-    def __init__(self, seed):
-        self.state = int(seed) & MASK
-
-    def next_u64(self):
-        self.state = (self.state + GOLDEN) & MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * MUL1) & MASK
-        z = ((z ^ (z >> 27)) * MUL2) & MASK
-        return z ^ (z >> 31)
-
-    def uniform(self):
-        return (self.next_u64() >> 11) * 2.0 ** -53
-
-    def normal_pair(self):
-        u1 = self.uniform()
-        while u1 == 0.0:
-            u1 = self.uniform()
-        u2 = self.uniform()
-        r = math.sqrt(-2.0 * math.log(u1))
-        angle = 2.0 * math.pi * u2
-        return r * math.cos(angle), r * math.sin(angle)
-
-    def normals(self, count):
-        out = []
-        while len(out) < count:
-            out.extend(self.normal_pair())
-        return out[:count]
 
 
 def _unshift(y, s):

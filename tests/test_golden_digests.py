@@ -15,7 +15,6 @@ reach einsum's unrolled vector loop and its tail.  The same tests run
 with the plain loop forced in ``test_plain_loop_path.py``.
 """
 
-import hashlib
 from functools import lru_cache
 
 import numpy as np
@@ -26,6 +25,8 @@ from sympllt.factor import (cholesky_lower, forward_substitute, lower_triangular
                             reverse_cholesky_upper)
 from sympllt.symplectic import BlockPartition
 from sympllt.testmat import SplitMix64, pascal_symplectic
+
+from support import digest
 
 ORDERS = (5, 63, 65, 130, 257)
 PASCAL_SIZES = (2, 6, 12)
@@ -101,15 +102,6 @@ GOLDEN = {
     "reverse_cholesky_upper": "a16625cec3c43ae643db93d96dd57852104da406c7badb9f9e0fe8e3a4e7bc0c",
     "schur_drift": "fd6d1553db526dfbc5c067487b41655ccea497bf42b36a3c652f406c59daa87a",
 }
-
-
-def digest(arrays):
-    h = hashlib.sha256()
-    for a in arrays:
-        a = np.ascontiguousarray(a, dtype=np.float64)
-        h.update(repr(a.shape).encode())
-        h.update(a.tobytes())
-    return h.hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

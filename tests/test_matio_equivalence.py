@@ -1,6 +1,6 @@
 """read_matrix against a frozen copy of the whole-text reader.
 
-The reader streams the file a line at a time; the frozen copy below reads
+The reader streams the file a line at a time; the frozen copy reads
 the whole text, splits it with ``str.splitlines`` and parses the list.  On
 every input the two must return the same array bits, or raise a
 ParseError with the same line and message.  The inputs are the matrix
@@ -17,81 +17,10 @@ from sympllt import ParseError, read_matrix
 from sympllt.testmat import SplitMix64
 
 import test_fuzz
+from frozen import frozen_read_matrix
 
 
-def frozen_read_matrix(path):
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError:
-        raise frozen_non_ascii_error(path) from None
-
-    k = 0
-    while k < len(lines) and lines[k].lstrip().startswith("#"):
-        k += 1
-    if k >= len(lines):
-        raise ParseError(len(lines) + 1, "missing header line")
-    header = lines[k].split()
-    if len(header) != 2:
-        raise ParseError(k + 1, f"header must be 'rows cols', got {lines[k]!r}")
-    try:
-        if "_" in lines[k]:
-            raise ValueError
-        rows, cols = int(header[0]), int(header[1])
-    except ValueError:
-        raise ParseError(k + 1, f"non-integer header fields in {lines[k]!r}") from None
-    if rows < 1 or cols < 1:
-        raise ParseError(k + 1, "rows and cols must be positive")
-
-    out = []
-    for i in range(rows):
-        lineno = k + 2 + i
-        if k + 1 + i >= len(lines):
-            raise ParseError(lineno, f"expected {rows} data rows, file ended early")
-        line = lines[k + 1 + i]
-        parts = line.split()
-        if len(parts) != cols:
-            raise ParseError(lineno, f"expected {cols} values, got {len(parts)}")
-        try:
-            if "_" in line:
-                raise ValueError
-            out.append(np.array(parts, dtype=np.float64))
-            finite = np.isfinite(out[i]).all()
-        except ValueError:
-            finite = False
-        if not finite:
-            raise frozen_bad_token_error(lineno, parts)
-    for extra in range(k + 1 + rows, len(lines)):
-        if lines[extra].strip():
-            raise ParseError(extra + 1, f"extra data after the {rows} declared rows")
-    return np.array(out)
-
-
-def frozen_bad_token_error(lineno, parts):
-    for tok in parts:
-        try:
-            if "_" in tok:
-                raise ValueError
-            val = float(tok)
-        except ValueError:
-            return ParseError(lineno, f"bad float literal {tok!r}")
-        if not np.isfinite(val):
-            return ParseError(lineno, f"non-finite value {tok!r}")
-
-
-def frozen_non_ascii_error(path):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        head = data[: exc.start] + b"x"
-        return ParseError(len(head.decode("ascii").splitlines()),
-                          f"non-ASCII byte {data[exc.start]:#04x}")
-    return ParseError(1, "file changed while it was read")
-
-
-def outcome(read, path):
+def read_outcome(read, path):
     """('array', shape, bits) or ('error', line, message) of one read."""
     try:
         a = read(path)
@@ -101,8 +30,8 @@ def outcome(read, path):
 
 
 def assert_same(path):
-    want = outcome(frozen_read_matrix, path)
-    assert outcome(read_matrix, path) == want
+    want = read_outcome(frozen_read_matrix, path)
+    assert read_outcome(read_matrix, path) == want
     return want
 
 

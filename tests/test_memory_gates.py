@@ -4,8 +4,8 @@ Peaks are measured with tracemalloc, which counts numpy's array buffers
 but not LAPACK's own workspaces, so they bound what the Python side
 holds.  ``omega`` and ``BlockFactor.omega`` subtract J in place, and every
 2n x 2n matrix is filled from its four blocks by one helper; each is
-compared as uint64 views with a frozen copy of the block-by-block fill it
-replaced, on results holding -0.0, NaN and infinities.  These tests also
+compared as uint64 views with the frozen copy of the block-by-block fill
+it replaced, on results holding -0.0, NaN and infinities.  These tests also
 run with matmul's plain loop forced, in ``test_plain_loop_path.py``.
 """
 
@@ -15,11 +15,15 @@ import numpy as np
 import pytest
 
 from sympllt import diagnostics, read_matrix, write_matrix
-from sympllt.dense import matmul
 from sympllt.symplectic import (BlockFactor, BlockPartition, _structure_inverse,
                                 _subtract_structure, assemble_omega_blocks, omega,
                                 structure_matrix)
 from sympllt.testmat import random_pdp, standard_normal_matrix
+
+from frozen import (frozen_assemble_omega_blocks, frozen_block_fill_residual,
+                    frozen_factor_assemble, frozen_factor_omega, frozen_omega,
+                    frozen_partition_assemble, frozen_structure_inverse, frozen_structure_matrix)
+from support import bits
 
 
 def traced_peak(fn, *args):
@@ -80,87 +84,6 @@ def test_partition_holds_no_full_order_array_after_diagnose():
     held = held_arrays(p)
     assert any(x.shape == (n, n) for x in held)  # the walk reaches the cached blocks
     assert [x.shape for x in held if x.shape == (2 * n, 2 * n)] == []
-
-
-def frozen_structure_matrix(n):
-    eye = np.eye(n)
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, n:] = eye
-    out[n:, :n] = -eye
-    return out
-
-
-def frozen_omega(a):
-    a = np.asarray(a, dtype=np.float64)
-    n = a.shape[0] // 2
-    return matmul(a.T, np.vstack([a[n:, :], -a[:n, :]])) - frozen_structure_matrix(n)
-
-
-def frozen_factor_omega(f):
-    p, n = f.p, f.p.n
-    o12 = matmul(p.l11.T, f.l22)
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = p.omega11
-    out[:n, n:] = o12
-    out[n:, :n] = 0.0 - o12.T
-    return out - frozen_structure_matrix(n)
-
-
-def frozen_partition_assemble(p):
-    n = p.n
-    out = np.empty((2 * n, 2 * n))
-    out[:n, :n] = p.a11
-    out[:n, n:] = p.a12
-    out[n:, :n] = p.a12.T
-    out[n:, n:] = p.a22
-    return out
-
-
-def frozen_factor_assemble(f):
-    n = f.p.n
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] = f.p.l11
-    out[n:, :n] = f.p.l21
-    out[n:, n:] = f.l22
-    return out
-
-
-def frozen_residual(f):
-    p, n = f.p, f.p.n
-    g11, g21 = p.gram
-    x = np.hstack([p.l21, f.l22])
-    g22 = matmul(x, x.T)
-    out = np.empty((2 * n, 2 * n))
-    out[:n, :n] = p.a11 - g11
-    out[:n, n:] = p.a12 - g21.T
-    out[n:, :n] = p.a12.T - g21
-    out[n:, n:] = p.a22 - g22
-    return out
-
-
-def frozen_assemble_omega_blocks(o11, o12, o22):
-    n = o11.shape[0]
-    out = np.empty((2 * n, 2 * n))
-    out[:n, :n] = o11
-    out[:n, n:] = o12
-    out[n:, :n] = -o12.T
-    out[n:, n:] = o22
-    return out
-
-
-def frozen_structure_inverse(a):
-    n = a.shape[0] // 2
-    at = a.T
-    out = np.empty_like(a)
-    out[:n, :n] = at[n:, n:]
-    out[:n, n:] = -at[n:, :n]
-    out[n:, :n] = -at[:n, n:]
-    out[n:, n:] = at[:n, :n]
-    return out
-
-
-def bits(x):
-    return x.view(np.uint64)
 
 
 def special_matrix(rows, cols, seed, specials=(0.0, -0.0, np.nan, np.inf, -np.inf)):
@@ -233,7 +156,7 @@ def special_factor(seed, n=5):
 BLOCK_FILLS = {
     "partition-assemble": (lambda f: f.p.assemble(), lambda f: frozen_partition_assemble(f.p)),
     "factor-assemble": (BlockFactor.assemble, frozen_factor_assemble),
-    "residual": (BlockFactor.residual, frozen_residual),
+    "residual": (BlockFactor.residual, frozen_block_fill_residual),
 }
 
 

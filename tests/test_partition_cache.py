@@ -22,17 +22,18 @@ from sympllt.checks import (
     check_w1_error_bound,
     check_w2_backward,
 )
-from sympllt.dense import condition_number, spectral_norm
+from sympllt.dense import spectral_norm
 from sympllt.diagnostics import diagnose, run_checks, standard_fixtures
 from sympllt.factor import spd_inverse, spd_solve
 from sympllt.symplectic import (BlockPartition, algorithm_w1, algorithm_w2,
-                                distance_to_symplecticity, omega)
+                                distance_to_symplecticity)
 from sympllt.testmat import random_pdp, symmetric_perturbation
 
+from frozen import frozen_scalars
 from support import float_bits as bits
 
 
-def result_bits(results):
+def verdict_bits(results):
     if not isinstance(results, list):
         results = [results]
     return [(r.bound_id, r.verdict, r.reason, r.slack, bits([r.lhs, r.rhs, r.floor]))
@@ -51,22 +52,6 @@ def partition_checks(p):
     ]
 
 
-def frozen_scalars(p):
-    """The per-matrix scalars by the formulas each caller once used inline."""
-    a = p.assemble()
-    drift = p.inv_a11 - p.schur
-    return {
-        "norm": spectral_norm(a),
-        "kappa": condition_number(a),
-        "norm_a11": spectral_norm(p.a11),
-        "kappa_a11": condition_number(p.a11),
-        "omega_norm": spectral_norm(omega(a)),
-        "norm_inv_a11": spectral_norm(p.inv_a11),
-        "drift": drift,
-        "dist": spectral_norm(drift),
-    }
-
-
 CASES = [(name, p) for name, p in standard_fixtures()] + [
     (f"random_pdp({n}, {n})", random_pdp(n, n)) for n in [*range(1, 13), 64, 65, 100]
 ]
@@ -75,14 +60,14 @@ CASES = [(name, p) for name, p in standard_fixtures()] + [
 @pytest.mark.parametrize("name,p", CASES, ids=[name for name, _ in CASES])
 def test_shared_partition_matches_fresh_partitions(name, p):
     checks = partition_checks(p)
-    fresh = [result_bits(check(BlockPartition.from_matrix(p.assemble())))
+    fresh = [verdict_bits(check(BlockPartition.from_matrix(p.assemble())))
              for check in checks]
 
     shared = BlockPartition.from_matrix(p.assemble())
-    assert [result_bits(check(shared)) for check in checks] == fresh
+    assert [verdict_bits(check(shared)) for check in checks] == fresh
 
     shared = BlockPartition.from_matrix(p.assemble())
-    backward = [result_bits(check(shared)) for check in reversed(checks)]
+    backward = [verdict_bits(check(shared)) for check in reversed(checks)]
     assert backward[::-1] == fresh
 
     assert bits(shared.inv_a11) == bits(spd_inverse(shared.a11))

@@ -3,13 +3,12 @@
 The perturbation bounds read the unperturbed factors and ||inv(a)|| from
 the partition's cache, and all five bounds of one perturbation share one
 ||e|| and one partition of a + e.  These tests pin that the sharing changes
-no bit of any verdict, lhs, rhs, floor, slack or skip reason (against a
+no bit of any verdict, lhs, rhs, floor, slack or skip reason (against the
 frozen copy of the per-call code it replaced), that the raw-matrix
 wrappers give what the partition path gives, and how much work a check
 suite does.
 """
 
-import math
 import sys
 from collections import Counter
 
@@ -18,123 +17,22 @@ import pytest
 
 from sympllt import checks, dense, factor, symplectic
 from sympllt.checks import (
-    EPS,
-    SLACK,
     PERTURBATION_SCALES,
-    BoundCheckResult,
     check_all_bounds,
     check_perturbation_bounds,
     check_schur_perturbation,
     perturbation_experiment,
 )
-from sympllt.dense import frobenius_norm, norm_and_condition, spectral_norm
+from sympllt.dense import spectral_norm
 from sympllt.diagnostics import run_checks, standard_fixtures
 from sympllt.errors import DimensionError, FactorError
-from sympllt.factor import (cholesky_lower, require_symmetric, reverse_cholesky_upper,
-                            spd_inverse)
+from sympllt.factor import cholesky_lower, reverse_cholesky_upper, spd_inverse
 from sympllt.symplectic import BlockPartition
-from sympllt.testmat import (diag_family, hyperbolic_spd, hyperbolic_spd_inverse, minij,
-                             pascal_symplectic, random_pdp, symmetric_perturbation)
+from sympllt.testmat import hyperbolic_spd, minij, symmetric_perturbation
 
+from frozen import (KINDS, frozen_bounds, frozen_check_schur_perturbation,
+                    frozen_perturbation_experiment, frozen_standard_fixtures)
 from support import float_bits as bits, rebind
-
-KINDS = ("cholesky", "reverse-cholesky", "l2-form")
-
-
-# --- the per-call code before the sharing, frozen --------------------------
-
-def frozen_perturbation_experiment(a, e, kind):
-    if kind not in KINDS:
-        raise ValueError(f"unknown perturbation kind {kind!r}")
-    bound_id = f"{kind}-perturbation"
-    a = require_symmetric(a, "perturbation_experiment")
-    e = require_symmetric(e, "perturbation_experiment")
-    try:
-        norm_inv_a = spectral_norm(spd_inverse(a))
-    except FactorError as exc:
-        return BoundCheckResult.skip(bound_id, f"not positive definite: {exc}")
-    damp = norm_inv_a * spectral_norm(e)
-    if damp >= 1.0:
-        return BoundCheckResult.skip(
-            bound_id, f"||inv(a)|| ||e|| = {damp:.3e} is not below 1")
-    try:
-        before = frozen_perturbation_factor(a, kind)
-        after = frozen_perturbation_factor(a + e, kind)
-    except FactorError as exc:
-        return BoundCheckResult.skip(bound_id, f"not positive definite: {exc}")
-    delta = after - before
-    norm_l = spectral_norm(before)
-    lhs = frobenius_norm(delta) / norm_l
-    norm_a, kappa = norm_and_condition(a)
-    kappa_a = kappa()
-    rhs = (kappa_a / (1.0 - damp)) * frobenius_norm(e) / norm_a / math.sqrt(2.0)
-    n = a.shape[0] // 2
-    floor = 100.0 * n * EPS * kappa_a * frobenius_norm(before) / norm_l
-    return BoundCheckResult.compare(bound_id, lhs, rhs, SLACK, floor)
-
-
-def frozen_perturbation_factor(a, kind):
-    if kind == "cholesky":
-        return cholesky_lower(a)
-    if kind == "reverse-cholesky":
-        return reverse_cholesky_upper(a)
-    return BlockPartition.from_matrix(a).w2.assemble()
-
-
-def frozen_check_schur_perturbation(p, e):
-    ids = ("leading-inverse-perturbation", "schur-perturbation")
-    e = require_symmetric(e, "check_schur_perturbation")
-    a = p.assemble()
-    norm_a = p.norm
-    norm_e = spectral_norm(e)
-    if norm_e > 1e-6 * norm_a:
-        reason = f"||e|| = {norm_e:.3e} above 1e-6 ||a||"
-        return [BoundCheckResult.skip(i, reason) for i in ids]
-    try:
-        cholesky_lower(a + e)
-    except FactorError as exc:
-        reason = f"perturbed matrix not positive definite: {exc}"
-        return [BoundCheckResult.skip(i, reason) for i in ids]
-
-    n = p.n
-    pe = BlockPartition.from_matrix(a + e)
-    e11, e12, e22 = e[:n, :n], e[:n, n:], e[n:, n:]
-    ne11, ne12, ne22 = spectral_norm(e11), spectral_norm(e12), spectral_norm(e22)
-
-    norm_inv = p.norm_inv_a11
-    norm_w = spectral_norm(p.coupling)
-
-    q = norm_inv * ne11
-    if q > 0.5:
-        reason = f"||inv(a11)|| ||e11|| = {q:.3e} above 1/2"
-        return [BoundCheckResult.skip(i, reason) for i in ids]
-    base_floor = (10.0 * (norm_e / norm_a) ** 2 * norm_a * max(1.0, norm_w ** 2)
-                  + 100.0 * n * EPS * norm_a)
-    results = []
-
-    lhs = spectral_norm(pe.inv_a11 - p.inv_a11)
-    rhs = norm_inv ** 2 * ne11
-    tail_inv = norm_inv * q * q / (1.0 - q)
-    results.append(BoundCheckResult.compare(
-        ids[0], lhs, rhs, SLACK, base_floor + tail_inv))
-
-    lhs = spectral_norm(pe.schur - p.schur)
-    rhs = ne22 + norm_w ** 2 * ne11 + 2.0 * norm_w * ne12
-    norm_a12 = spectral_norm(p.a12)
-    delta_inv = norm_inv * q / (1.0 - q)
-    tail_schur = (norm_a12 ** 2 * norm_inv * q * q / (1.0 - q)
-                  + norm_inv * ne12 ** 2
-                  + 2.0 * ne12 * delta_inv * (norm_a12 + ne12))
-    results.append(BoundCheckResult.compare(
-        ids[1], lhs, rhs, SLACK, base_floor + tail_schur))
-    return results
-
-
-def frozen_bounds(p, e):
-    """The five bounds of one perturbation, each computed on its own."""
-    a = p.assemble()
-    return ([frozen_perturbation_experiment(a, e, kind) for kind in KINDS]
-            + frozen_check_schur_perturbation(p, e))
 
 
 # --- helpers ----------------------------------------------------------------
@@ -288,26 +186,6 @@ def test_a_failed_factor_is_not_cached():
             p.cholesky
         with pytest.raises(FactorError, match="pivot 2 .* during reverse-cholesky"):
             p.reverse_cholesky
-
-
-def frozen_standard_fixtures():
-    """The fixture set as standard_fixtures() built it family by family,
-    its sizes, thetas and seeds written out so that a change to the
-    registry shows here."""
-    fixtures = [("minij", BlockPartition.from_matrix(minij()))]
-    for t in (3.0, 4.0, 6.0, 7.0):
-        fixtures.append((f"hyperbolic/{t:g}", BlockPartition.from_matrix(hyperbolic_spd(t))))
-        fixtures.append(
-            (f"hyperbolic-inverse/{t:g}", BlockPartition.from_matrix(hyperbolic_spd_inverse(t)))
-        )
-    for n in (2, 6, 8, 10, 12):
-        fixtures.append((f"pascal/{n}", pascal_symplectic(n)))
-    _, ahat = diag_family(1e6, 1e-10)
-    fixtures.append(("diagt/1e6", BlockPartition.from_matrix(ahat)))
-    for n in (5, 10, 20):
-        for s in (1, 2, 3):
-            fixtures.append((f"random/n{n}-s{s}", random_pdp(n, s)))
-    return fixtures
 
 
 def test_fixtures_from_the_registry_keep_names_order_and_bytes():

@@ -16,31 +16,16 @@ import pytest
 
 import sympllt
 from sympllt import dense, omega, run_checks, run_sweep, run_table
-from sympllt.dense import as_matrix, is_bitwise_symmetric
+from sympllt.dense import is_bitwise_symmetric
 from sympllt.diagnostics import standard_fixtures
-from sympllt.errors import DimensionError, InvalidEntryError
 from sympllt.symplectic import algorithm_w1, algorithm_w2
 from sympllt.testmat import random_pdp
 
+from frozen import frozen_spectral_norm
 from support import float_bits, rebind
 
 REL_TOL = 1e-13
 OMEGA_FIELDS = ("omega_A", "omega_L1", "omega_L2")
-
-
-def frozen_spectral_norm(a):
-    """The Gram route: sqrt of the largest eigenvalue of a^T a."""
-    a = as_matrix(a)
-    if a.size == 0:
-        raise DimensionError("spectral_norm: matrix is empty")
-    if not np.all(np.isfinite(a)):
-        raise InvalidEntryError("spectral_norm: input contains NaN or infinite entries")
-    if is_bitwise_symmetric(a):
-        ev = np.linalg.eigvalsh(a)
-        return float(max(abs(ev[0]), abs(ev[-1])))
-    gram = dense.matmul(a.T, a)
-    ev = np.linalg.eigvalsh(gram)
-    return float(np.sqrt(max(ev[-1], 0.0)))
 
 
 def assert_close(got, want):

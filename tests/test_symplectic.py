@@ -25,6 +25,8 @@ from sympllt.dense import EPS
 from sympllt.symplectic import _structure_inverse, assemble_omega_blocks
 from sympllt.testmat import minij, pascal_symplectic, random_pdp, hyperbolic_spd
 
+from support import within_factor
+
 SQ2 = math.sqrt(2.0)
 
 MINIJ_L1 = np.array(
@@ -35,10 +37,6 @@ MINIJ_L1 = np.array(
         [1.0, 1.0, 0.0, 1.0],
     ]
 )
-
-
-def within_factor(got, expected, factor=10.0):
-    return expected / factor <= got <= expected * factor
 
 
 def minij_partition():

@@ -9,78 +9,20 @@ are compared as uint64 views (-0.0 vs +0.0 and NaN payloads count), and
 so are exceptions with their pivot and value.
 """
 
-import math
-
 import numpy as np
 import pytest
 
 from sympllt import factor
-from sympllt.dense import as_matrix, matmul
-from sympllt.errors import DimensionError, PivotNotPositiveError, SingularError, SympLLTError
+from sympllt.dense import matmul
+from sympllt.errors import DimensionError, PivotNotPositiveError, SympLLTError
 from sympllt.factor import cholesky_lower, lower_triangular_inverse
 from sympllt.symplectic import BlockPartition
 from sympllt.testmat import pdp_assemble, random_pdp, standard_normal_matrix
 
+from frozen import (frozen_cholesky_lower, frozen_lower_triangular_inverse, frozen_pdp_assemble,
+                    frozen_random_pdp)
+
 ORDERS = list(range(1, 41)) + [63, 64, 65, 100, 129, 200, 257]
-
-
-def frozen_cholesky_lower(a, stage="cholesky"):
-    """The plain kernel: the whole trailing square is updated at every step."""
-    a = as_matrix(a)
-    n = a.shape[0]
-    work = a.copy()
-    low = np.zeros_like(work)
-    for j in range(n):
-        d = work[j, j]
-        if not d > 0.0:
-            raise PivotNotPositiveError(j + 1, d, stage=stage)
-        dj = math.sqrt(d)
-        low[j, j] = dj
-        if j + 1 < n:
-            col = work[j + 1 :, j] / dj
-            low[j + 1 :, j] = col
-            work[j + 1 :, j + 1 :] -= col[:, None] * col[None, :]
-    return low
-
-
-def frozen_forward_substitute(low, b):
-    """The plain substitution: every column of every row, ascending rows."""
-    low = as_matrix(low)
-    x = as_matrix(b).copy()
-    n = low.shape[0]
-    for i in range(n):
-        d = low[i, i]
-        if d == 0.0:
-            raise SingularError(f"forward_substitute: zero diagonal at row {i + 1}")
-        x[i, :] /= d
-        if i + 1 < n:
-            x[i + 1 :, :] -= low[i + 1 :, i : i + 1] * x[i : i + 1, :]
-    return x
-
-
-def frozen_lower_triangular_inverse(low):
-    low = as_matrix(low)
-    return frozen_forward_substitute(low, np.eye(low.shape[0]))
-
-
-def frozen_pdp_assemble(g, h):
-    """The generator as it was: inv(g) from a Cholesky factor of its own."""
-    g = np.asarray(g, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    linv = frozen_lower_triangular_inverse(frozen_cholesky_lower(g))
-    ginv = matmul(np.ascontiguousarray(linv.T), linv)
-    a12 = matmul(g, h)
-    a22 = matmul(h, a12) + ginv
-    a22 = 0.5 * (a22 + a22.T)
-    return BlockPartition(n=g.shape[0], a11=g.copy(), a12=a12, a22=a22)
-
-
-def frozen_random_pdp(n, seed):
-    r = standard_normal_matrix(n, seed)
-    h = 0.5 * (r + r.T)
-    g = matmul(r, np.ascontiguousarray(r.T))
-    g = g + 1e-12 * float(np.trace(g)) / n * np.eye(n)
-    return frozen_pdp_assemble(g, h)
 
 
 def outcome(fn, *args):
