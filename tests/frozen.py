@@ -1,9 +1,4 @@
-"""Every frozen copy of replaced code, which gates compare with the library bit for bit.
-
-Each copy names the commit that replaced the original.  Two generations
-of one function keep two copies under distinct names, unless they are
-shown bit-equal on the union of their inputs.
-"""
+"""Every frozen copy of replaced code, each naming the commit that replaced it."""
 
 import csv
 import math
@@ -25,8 +20,7 @@ from sympllt.testmat import (diag_family, hyperbolic_spd, hyperbolic_spd_inverse
 
 
 def frozen_matmul(a, b, acc=None):
-    """The plain kernel until aba46c7: every term, ascending k, rank-1 updates
-    from +0.0, or from a copy of ``acc`` as matmul took it until 2d46fc8."""
+    """The plain kernel until aba46c7, and with ``acc`` as matmul took it until 2d46fc8."""
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape[1] != b.shape[0]:
@@ -408,9 +402,8 @@ def frozen_bounds(p, e):
 
 
 def frozen_standard_fixtures():
-    """The fixture set as standard_fixtures() built it family by family
-    until f04a335 made it data, its sizes, thetas and seeds written out so
-    that a change to the registry shows here."""
+    """standard_fixtures() family by family until f04a335 made it data, its sizes,
+    thetas and seeds written out so that a change to the registry shows here."""
     fixtures = [("minij", BlockPartition.from_matrix(minij()))]
     for t in (3.0, 4.0, 6.0, 7.0):
         fixtures.append((f"hyperbolic/{t:g}", BlockPartition.from_matrix(hyperbolic_spd(t))))

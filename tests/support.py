@@ -1,6 +1,4 @@
-"""Helpers shared by the test modules: bitwise views and digests of
-results, references computed once per input, inputs with special values,
-and rebinding a library function in every module that imported it."""
+"""The helpers that several test modules use, each defined here once."""
 
 import dataclasses
 import hashlib
@@ -9,25 +7,25 @@ import sys
 import numpy as np
 
 
+def uint64_view(a):
+    assert a.dtype == np.float64, a.dtype
+    return a.view(np.uint64)
+
+
 def float_bits(values):
-    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
-
-
-def bits(a):
-    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+    return uint64_view(np.asarray(values)).tolist()
 
 
 def assert_same_bits(got, want):
     assert got.shape == want.shape
-    assert np.array_equal(bits(got), bits(want))
+    assert np.array_equal(uint64_view(got), uint64_view(want))
 
 
 def digest(arrays):
     h = hashlib.sha256()
     for a in arrays:
-        a = np.ascontiguousarray(a, dtype=np.float64)
         h.update(repr(a.shape).encode())
-        h.update(a.tobytes())
+        h.update(np.ascontiguousarray(uint64_view(a)).tobytes())
     return h.hexdigest()
 
 
@@ -35,12 +33,8 @@ _REFERENCE_DIGESTS = {}
 
 
 def assert_matches_reference(got, reference, *inputs):
-    """assert_same_bits(got, reference(*inputs)), running ``reference`` once per input.
-
-    ``reference`` must be a pure function of its arrays that calls no library
-    kernel, such as ``frozen_matmul``, so the plain-loop rerun can compare with
-    the digest of its result kept by the first run.  On a mismatch it runs
-    again, so a failure shows both arrays, and the kept digest must match."""
+    """assert_same_bits(got, reference(*inputs)), running ``reference``, which calls no
+    library kernel, once per input and keeping only its digest; a mismatch reruns it."""
     key = (reference.__module__, reference.__qualname__, digest(inputs))
     if _REFERENCE_DIGESTS.get(key) == digest([got]):
         return
@@ -70,17 +64,14 @@ def row_fields(row):
             float_bits([v for v in fields if isinstance(v, float)]))
 
 
-def check_fields(report):
-    return ([(r.bound_id, r.verdict, r.reason, r.context) for r in report.results],
-            float_bits([(r.lhs, r.rhs, r.floor) for r in report.results]))
+def result_bits(results):
+    """row_fields of each check result; a single result counts as a list of one."""
+    return [row_fields(r) for r in ([results] if dataclasses.is_dataclass(results) else results)]
 
 
-def rebind(monkeypatch, original, replacement):
-    """Bind ``replacement`` wherever a sympllt module bound ``original``.
-
-    Returns the names of the modules patched, so a caller can assert that
-    every module it relies on was.
-    """
+def rebind(monkeypatch, original, replacement, needed=()):
+    """Bind ``replacement`` wherever a sympllt module bound ``original``, checking that
+    each module named in ``needed`` was among them; returns the modules patched."""
     patched = []
     for name, module in sorted(sys.modules.items()):
         if name.split(".")[0] == "sympllt":
@@ -88,4 +79,5 @@ def rebind(monkeypatch, original, replacement):
                 if obj is original:
                     monkeypatch.setattr(module, attr, replacement)
                     patched.append(name)
+    assert set(needed) <= set(patched), patched
     return patched

@@ -9,9 +9,7 @@ continued sums are the forms the (2,2) block of L L^T and the (1,1)
 block of omega(L) had before they became single products over a
 concatenated inner dimension; every result must match them bit for bit,
 compared as uint64 views so -0.0 vs +0.0 counts.  The same tests run
-with matmul's plain loop forced in ``test_plain_loop_path.py``, where
-the continued sums, which depend only on their inputs, are not computed
-again (``support.assert_matches_reference``).
+with matmul's plain loop forced in ``test_plain_loop_path.py``.
 """
 
 import dataclasses
@@ -28,8 +26,8 @@ from sympllt.testmat import hyperbolic_spd, random_pdp
 
 from frozen import (frozen_condition_number, frozen_continued_product, frozen_full_omega,
                     frozen_full_residual, frozen_norm, frozen_omega11, frozen_residual22)
-from support import (assert_matches_reference, assert_same_bits, check_fields, float_bits,
-                     normal, rebind, row_fields, with_negative_zeros)
+from support import (assert_matches_reference, assert_same_bits, float_bits,
+                     normal, rebind, result_bits, row_fields, with_negative_zeros)
 
 
 def assert_block_forms(f):
@@ -174,9 +172,9 @@ def test_diagnose_rows_identical_with_frozen_forms(monkeypatch, n):
 
 @pytest.mark.parametrize("fault", [False, True])
 def test_run_checks_identical_with_frozen_forms(monkeypatch, fault):
-    current = check_fields(run_checks(inject_w2_fault=fault))
+    current = result_bits(run_checks(inject_w2_fault=fault).results)
     use_frozen_forms(monkeypatch)
-    assert check_fields(run_checks(inject_w2_fault=fault)) == current
+    assert result_bits(run_checks(inject_w2_fault=fault).results) == current
 
 
 # --- the work each diagnose does --------------------------------------------

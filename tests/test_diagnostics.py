@@ -9,7 +9,6 @@ import sympllt
 from sympllt import (InvalidEntryError, UsageError, checks, diagnose, diagnostics, run_checks,
                      run_sweep, run_table)
 from sympllt.diagnostics import (
-    CSV_COLUMNS,
     TABLE_QUANTITIES,
     format_table,
     read_csv,
@@ -19,17 +18,7 @@ from sympllt.diagnostics import (
 from sympllt.testmat import pascal_symplectic, random_pdp, hyperbolic_spd
 
 from frozen import frozen_report_describe, frozen_result_describe
-from support import check_fields
-
-
-def rows_equal_bitwise(a, b):
-    for name in CSV_COLUMNS:
-        va, vb = getattr(a, name), getattr(b, name)
-        if isinstance(va, float) and math.isnan(va) and math.isnan(vb):
-            continue
-        if va != vb:
-            return False
-    return True
+from support import result_bits, row_fields
 
 
 def test_diagnose_rejects_nan_without_warning():
@@ -68,7 +57,7 @@ def test_diagnose_deterministic():
     a = hyperbolic_spd(6.0)
     r1 = diagnose(a, "hyperbolic", 6.0)
     r2 = diagnose(a, "hyperbolic", 6.0)
-    assert rows_equal_bitwise(r1, r2)
+    assert row_fields(r1) == row_fields(r2)
 
 
 def test_diagnose_marks_failures_with_nan():
@@ -93,13 +82,7 @@ def test_run_table_shapes_and_values():
 
 
 def test_run_table_rows_come_from_the_family_registry_unchanged():
-    from dataclasses import astuple
-
     from sympllt.testmat import hyperbolic_spd_inverse
-
-    def bits(rows):
-        return [[np.float64(v).tobytes() if isinstance(v, float) else v for v in astuple(r)]
-                for r in rows]
 
     # the rows as run_table once built them, each generator called directly
     # with the thetas and sizes written out, so that a change to the
@@ -111,8 +94,8 @@ def test_run_table_rows_come_from_the_family_registry_unchanged():
         3: [diagnose(pascal_symplectic(n), "pascal", n) for n in (6, 8, 10, 12)],
     }
     for table_id, rows in direct.items():
-        assert bits(run_table(table_id)) == bits(rows)
-    assert bits(run_table(np.int64(2))) == bits(direct[2])
+        assert list(map(row_fields, run_table(table_id))) == list(map(row_fields, rows))
+    assert list(map(row_fields, run_table(np.int64(2)))) == list(map(row_fields, direct[2]))
 
 
 @pytest.mark.parametrize("bad", [[1], "1", 0, 4, None, True, 1.0],
@@ -135,13 +118,13 @@ def test_sweep_of_length_one_equals_diagnose():
     from sympllt.testmat import random_pdp
 
     direct = diagnose(random_pdp(4, 11 + 4), "random", 4)
-    assert rows_equal_bitwise(rows[0], direct)
+    assert row_fields(rows[0]) == row_fields(direct)
 
 
 def test_sweep_deterministic_given_seed():
     a = run_sweep("random", 1, 6, seed=3)
     b = run_sweep("random", 1, 6, seed=3)
-    assert all(rows_equal_bitwise(x, y) for x, y in zip(a, b))
+    assert list(map(row_fields, a)) == list(map(row_fields, b))
 
 
 def test_sweep_continues_past_failures(monkeypatch):
@@ -182,7 +165,7 @@ def test_csv_round_trip_bitwise(tmp_path):
     write_csv(path, rows)
     back = read_csv(path)
     assert len(back) == len(rows)
-    assert all(rows_equal_bitwise(a, b) for a, b in zip(rows, back))
+    assert list(map(row_fields, rows)) == list(map(row_fields, back))
 
 
 def test_diagnose_marks_singular_input():
@@ -259,7 +242,7 @@ def test_csv_keeps_the_failure_message(tmp_path):
     back = read_csv(path)
     assert [r.ok for r in back] == [False, True]
     assert back[0].error == failed.error
-    assert all(rows_equal_bitwise(a, b) for a, b in zip(rows, back))
+    assert list(map(row_fields, rows)) == list(map(row_fields, back))
 
 
 def _csv_with_record(tmp_path, record):
@@ -377,9 +360,9 @@ def full_suite():
 @pytest.mark.parametrize("scope", FAMILY_SCOPES)
 def test_a_scoped_run_repeats_the_full_runs_results(full_suite, scope):
     # each fixture's perturbations are seeded from its place in the full set
-    expected = [(names, bits) for names, bits in zip(*check_fields(full_suite))
-                if names[3].split("/")[0] == scope]
-    assert list(zip(*check_fields(run_checks(scope=scope)))) == expected
+    expected = [fields for fields in result_bits(full_suite.results)
+                if fields[0][3].split("/")[0] == scope]
+    assert result_bits(run_checks(scope=scope).results) == expected
 
 
 def test_run_checks_fault_injection_detected():

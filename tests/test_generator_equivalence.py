@@ -12,7 +12,7 @@ import pytest
 from sympllt.testmat import SplitMix64, standard_normal_matrix
 
 from frozen import GOLDEN, MASK, MUL1, MUL2, FrozenSplitMix64
-from support import float_bits as bits
+from support import float_bits
 
 
 def _unshift(y, s):
@@ -44,17 +44,17 @@ def test_normals_match_scalar_loop(seed, count):
     values = got.normals(count)
     assert isinstance(values, np.ndarray)
     assert values.dtype == np.float64 and values.shape == (count,)
-    assert bits(values) == bits(want.normals(count))
+    assert float_bits(values) == float_bits(want.normals(count))
     assert got.state == want.state
 
 
 def test_back_to_back_calls_continue_the_stream():
     got, want = SplitMix64(23), FrozenSplitMix64(23)
     for count in (16, 8, 7, 1, 0, 5):
-        assert bits(got.normals(count)) == bits(want.normals(count))
+        assert float_bits(got.normals(count)) == float_bits(want.normals(count))
         assert got.state == want.state
         assert got.next_u64() == want.next_u64()
-    assert bits(got.normal_pair()) == bits(want.normal_pair())
+    assert float_bits(got.normal_pair()) == float_bits(want.normal_pair())
     assert got.uniform() == want.uniform()
 
 
@@ -77,7 +77,7 @@ def test_zero_first_uniform_is_redrawn(pair, count):
     # the redraw consumed one extra word
     assert want.state == (seed + (2 * ((count + 1) // 2) + 1) * GOLDEN) & MASK
     got = SplitMix64(seed)
-    assert bits(got.normals(count)) == bits(expected)
+    assert float_bits(got.normals(count)) == float_bits(expected)
     assert got.state == want.state
     assert got.next_u64() == want.next_u64()
 
@@ -86,7 +86,7 @@ def test_zero_second_uniform_needs_no_redraw():
     seed = seed_with_small_word(4, 0)
     got, want = SplitMix64(seed), FrozenSplitMix64(seed)
     values = got.normals(6)
-    assert bits(values) == bits(want.normals(6))
+    assert float_bits(values) == float_bits(want.normals(6))
     assert values[3] == 0.0  # r * sin(0)
     assert got.state == want.state == (seed + 6 * GOLDEN) & MASK
 
@@ -95,4 +95,4 @@ def test_zero_second_uniform_needs_no_redraw():
 def test_standard_normal_matrix_unchanged(n):
     want = FrozenSplitMix64(n).normals(n * n)
     got = standard_normal_matrix(n, n)
-    assert bits(got.ravel(order="F")) == bits(want)
+    assert float_bits(got.ravel(order="F")) == float_bits(want)

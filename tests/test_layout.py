@@ -1,6 +1,7 @@
 """The test suite's layout: every frozen copy lives in ``frozen.py``, and
-each module-level helper is defined in one module only, so no name means
-two things (``support.py`` holds the helpers several modules share)."""
+each module-level helper is defined in one module only and imported under
+its own name, so no name means two things (``support.py`` holds the helpers
+several modules share)."""
 
 import ast
 from collections import defaultdict
@@ -31,3 +32,11 @@ def test_no_helper_is_defined_in_two_modules():
                     and not node.name.startswith("test_")):
                 homes[node.name].append(name)
     assert {helper: names for helper, names in homes.items() if len(names) > 1} == {}
+
+
+def test_no_shared_helper_is_imported_under_another_name():
+    renamed = [f"{name}: {alias.name} as {alias.asname}"
+               for name, tree in parsed_modules().items() for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.module in ("frozen", "support")
+               for alias in node.names if alias.asname]
+    assert renamed == []

@@ -5,9 +5,7 @@ loop when the import-time probe accepts it, and everything else in the
 plain loop; either must give every bit of the frozen loop's result.
 Results are compared as uint64 views, so -0.0 vs +0.0 and NaN payloads
 count.  The same tests run with the plain loop forced in
-``test_plain_loop_path.py``; the frozen loop's result depends only on the
-inputs, so that run compares with the digest of the result kept from this
-one (``support.assert_matches_reference``).
+``test_plain_loop_path.py``.
 """
 
 import numpy as np
@@ -19,8 +17,11 @@ from sympllt.symplectic import algorithm_w1, algorithm_w2
 from sympllt.testmat import random_pdp
 
 from frozen import frozen_matmul
-from support import (assert_matches_reference, check_fields, normal, rebind, row_fields,
+from support import (assert_matches_reference, normal, rebind, result_bits, row_fields,
                      with_negative_zeros)
+
+MATMUL_USERS = ("sympllt", "sympllt.dense", "sympllt.symplectic", "sympllt.checks",
+                "sympllt.testmat")
 
 
 def assert_same_product(a, b):
@@ -167,23 +168,16 @@ def test_block_factor_products(n):
     assert_same_product(w.T, w)
 
 
-def use_kernel(monkeypatch, kernel):
-    """Bind ``kernel`` as matmul in every sympllt module that bound it."""
-    patched = rebind(monkeypatch, dense.matmul, kernel)
-    assert {"sympllt", "sympllt.dense", "sympllt.symplectic", "sympllt.checks",
-            "sympllt.testmat"} <= set(patched)
-
-
 @pytest.mark.parametrize("n", [5, 40, 100])
 def test_diagnose_rows_identical_with_frozen_kernel(monkeypatch, n):
     current = row_fields(diagnose(random_pdp(n, 7 + n), "random", n))
-    use_kernel(monkeypatch, frozen_matmul)
+    rebind(monkeypatch, dense.matmul, frozen_matmul, MATMUL_USERS)
     frozen = row_fields(diagnose(random_pdp(n, 7 + n), "random", n))
     assert current == frozen
 
 
 def test_run_checks_identical_with_frozen_kernel(monkeypatch):
-    current = check_fields(run_checks())
-    use_kernel(monkeypatch, frozen_matmul)
+    current = result_bits(run_checks().results)
+    rebind(monkeypatch, dense.matmul, frozen_matmul, MATMUL_USERS)
     assert sympllt.matmul is frozen_matmul
-    assert check_fields(run_checks()) == current
+    assert result_bits(run_checks().results) == current

@@ -23,7 +23,7 @@ from sympllt.testmat import random_pdp, standard_normal_matrix
 from frozen import (frozen_assemble_omega_blocks, frozen_block_fill_residual,
                     frozen_factor_assemble, frozen_factor_omega, frozen_omega,
                     frozen_partition_assemble, frozen_structure_inverse, frozen_structure_matrix)
-from support import bits
+from support import assert_same_bits
 
 
 def traced_peak(fn, *args):
@@ -122,7 +122,7 @@ def test_omega_in_place_matches_frozen_bits(name):
     a = omega_inputs()[name]
     with np.errstate(invalid="ignore", over="ignore"):
         got, want = omega(a), frozen_omega(a)
-    assert np.array_equal(bits(got), bits(want))
+    assert_same_bits(got, want)
 
 
 @pytest.mark.parametrize("seed", [21, 22, 23, 24])
@@ -136,7 +136,7 @@ def test_factor_omega_in_place_matches_frozen_bits(seed):
     f = BlockFactor(p, l22, "w2")
     with np.errstate(invalid="ignore", over="ignore"):
         got, want = f.omega(), frozen_factor_omega(f)
-    assert np.array_equal(bits(got), bits(want))
+    assert_same_bits(got, want)
     assert np.isnan(want).any() and np.isinf(want).any() and np.isfinite(want).any()
 
 
@@ -167,7 +167,7 @@ def test_block_fill_matches_frozen_bits(name, seed):
     # each from a fresh factor, so neither reads a block cached by the other
     with np.errstate(invalid="ignore", over="ignore"):
         got, want = fill(special_factor(seed)), frozen(special_factor(seed))
-    assert np.array_equal(bits(got), bits(want))
+    assert_same_bits(got, want)
     assert np.isnan(want).any() and np.isinf(want).any()
 
 
@@ -176,7 +176,7 @@ def test_assemble_omega_blocks_matches_frozen_bits(seed):
     n = 4
     blocks = [special_matrix(n, n, seed + 10 * k) for k in range(3)]
     got, want = assemble_omega_blocks(*blocks), frozen_assemble_omega_blocks(*blocks)
-    assert np.array_equal(bits(got), bits(want))
+    assert_same_bits(got, want)
     assert np.isnan(want).any() and np.isinf(want).any() and (np.signbit(want) & (want == 0)).any()
 
 
@@ -184,13 +184,13 @@ def test_assemble_omega_blocks_matches_frozen_bits(seed):
 def test_structure_inverse_matches_frozen_bits(name):
     a = omega_inputs()[name]
     got, want = _structure_inverse(a), frozen_structure_inverse(a)
-    assert np.array_equal(bits(got), bits(want))
+    assert_same_bits(got, want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_structure_matrix_matches_frozen_bits(n):
     # the (2,1) block's off-diagonal zeros are -0.0
-    assert np.array_equal(bits(structure_matrix(n)), bits(frozen_structure_matrix(n)))
+    assert_same_bits(structure_matrix(n), frozen_structure_matrix(n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -202,4 +202,4 @@ def test_subtract_structure_is_minus_j_bitwise(n):
     with np.errstate(invalid="ignore"):
         want = x - frozen_structure_matrix(n)
     got = _subtract_structure(x.copy())
-    assert np.array_equal(bits(got), bits(want))
+    assert_same_bits(got, want)

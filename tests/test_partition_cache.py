@@ -30,14 +30,7 @@ from sympllt.symplectic import (BlockPartition, algorithm_w1, algorithm_w2,
 from sympllt.testmat import random_pdp, symmetric_perturbation
 
 from frozen import frozen_scalars
-from support import float_bits as bits
-
-
-def verdict_bits(results):
-    if not isinstance(results, list):
-        results = [results]
-    return [(r.bound_id, r.verdict, r.reason, r.slack, bits([r.lhs, r.rhs, r.floor]))
-            for r in results]
+from support import float_bits, result_bits
 
 
 def partition_checks(p):
@@ -60,24 +53,24 @@ CASES = [(name, p) for name, p in standard_fixtures()] + [
 @pytest.mark.parametrize("name,p", CASES, ids=[name for name, _ in CASES])
 def test_shared_partition_matches_fresh_partitions(name, p):
     checks = partition_checks(p)
-    fresh = [verdict_bits(check(BlockPartition.from_matrix(p.assemble())))
+    fresh = [result_bits(check(BlockPartition.from_matrix(p.assemble())))
              for check in checks]
 
     shared = BlockPartition.from_matrix(p.assemble())
-    assert [verdict_bits(check(shared)) for check in checks] == fresh
+    assert [result_bits(check(shared)) for check in checks] == fresh
 
     shared = BlockPartition.from_matrix(p.assemble())
-    backward = [verdict_bits(check(shared)) for check in reversed(checks)]
+    backward = [result_bits(check(shared)) for check in reversed(checks)]
     assert backward[::-1] == fresh
 
-    assert bits(shared.inv_a11) == bits(spd_inverse(shared.a11))
-    assert bits(shared.coupling) == bits(spd_solve(shared.a11, shared.a12))
+    assert float_bits(shared.inv_a11) == float_bits(spd_inverse(shared.a11))
+    assert float_bits(shared.coupling) == float_bits(spd_solve(shared.a11, shared.a12))
 
     fresh = frozen_scalars(BlockPartition.from_matrix(p.assemble()))
-    expected = {name: bits(value) for name, value in fresh.items()}
+    expected = {name: float_bits(value) for name, value in fresh.items()}
     unread = BlockPartition.from_matrix(p.assemble())
     for q in (unread, shared):
-        assert {k: bits(getattr(q, k)) for k in expected} == expected
+        assert {k: float_bits(getattr(q, k)) for k in expected} == expected
 
 
 COUNTED = [c for c in CASES if c[0] in ("minij", "pascal/6", "random_pdp(100, 100)")]
@@ -165,7 +158,7 @@ def test_cached_arrays_are_read_only():
         p.drift[0, 0] = 2.0
     f2 = algorithm_w2(p)
     assert f2.p is f1.p
-    assert bits(f2.assemble()) == bits(expected.assemble())
+    assert float_bits(f2.assemble()) == float_bits(expected.assemble())
 
 
 NAN_AFTER_FAILURE = ["norm2_invA11", "dist_sympl", "dist_sympl_rel", "relerr_w1",

@@ -32,15 +32,10 @@ from sympllt.testmat import hyperbolic_spd, minij, symmetric_perturbation
 
 from frozen import (KINDS, frozen_bounds, frozen_check_schur_perturbation,
                     frozen_perturbation_experiment, frozen_standard_fixtures)
-from support import float_bits as bits, rebind
+from support import float_bits, rebind, result_bits
 
 
 # --- helpers ----------------------------------------------------------------
-
-def result_bits(results):
-    return [(r.bound_id, r.verdict, r.reason, r.context,
-             bits([r.lhs, r.rhs, r.floor, r.slack])) for r in results]
-
 
 def suite_perturbations(fixtures):
     """(index, scale index, p, e) for every perturbation run_checks makes."""
@@ -99,7 +94,7 @@ def test_the_damp_skip_factors_nothing_of_a_plus_e(monkeypatch, kind):
     assert r.verdict == "skipped"
     assert r.reason.startswith("||inv(a)|| ||e|| = ") and r.reason.endswith(" is not below 1")
     # the one factorization is a's own Cholesky, behind ||inv(a)||
-    assert [bits(m) for m in inputs] == [bits(a)]
+    assert [float_bits(m) for m in inputs] == [float_bits(a)]
 
 
 def test_suite_counts_are_unchanged():
@@ -171,9 +166,9 @@ def test_cached_whole_matrix_factors(name, p):
         with pytest.raises(FactorError):
             q.norm_inv
         return
-    assert bits(q.cholesky) == bits(cholesky_lower(a))
-    assert bits(q.reverse_cholesky) == bits(reverse_cholesky_upper(a))
-    assert bits(q.norm_inv) == bits(spectral_norm(expected))
+    assert float_bits(q.cholesky) == float_bits(cholesky_lower(a))
+    assert float_bits(q.reverse_cholesky) == float_bits(reverse_cholesky_upper(a))
+    assert float_bits(q.norm_inv) == float_bits(spectral_norm(expected))
     for cached in (q.cholesky, q.reverse_cholesky):
         with pytest.raises(ValueError):
             cached[0, 0] = 2.0
@@ -189,9 +184,9 @@ def test_a_failed_factor_is_not_cached():
 
 
 def test_fixtures_from_the_registry_keep_names_order_and_bytes():
-    expected = [(name, p.n, bits(p.a11), bits(p.a12), bits(p.a22))
+    expected = [(name, p.n, float_bits(p.a11), float_bits(p.a12), float_bits(p.a22))
                 for name, p in frozen_standard_fixtures()]
-    actual = [(name, p.n, bits(p.a11), bits(p.a12), bits(p.a22))
+    actual = [(name, p.n, float_bits(p.a11), float_bits(p.a12), float_bits(p.a22))
               for name, p in standard_fixtures()]
     assert actual == expected
     assert all(isinstance(p, BlockPartition) for _, p in standard_fixtures())

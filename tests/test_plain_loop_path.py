@@ -5,10 +5,7 @@ with ``dense._EINSUM_EXACT`` forced false, as on a host whose einsum the
 import-time probe rejects, so both of matmul's paths are held to the
 same committed digests and frozen copies.  ``np.einsum`` is replaced by
 a function that fails, so a product that still reached it would show.
-A frozen result that depends only on its inputs, such as
-``frozen_matmul``'s, is not computed again here: the gates compare with
-the digest the first run kept for the same inputs
-(``support.assert_matches_reference``).
+A frozen result that depends only on its inputs is not computed again here.
 """
 
 import numpy as np

@@ -26,6 +26,8 @@ from support import float_bits, rebind
 
 REL_TOL = 1e-13
 OMEGA_FIELDS = ("omega_A", "omega_L1", "omega_L2")
+NORM_USERS = ("sympllt", "sympllt.dense", "sympllt.symplectic", "sympllt.checks",
+              "sympllt.diagnostics")
 
 
 def assert_close(got, want):
@@ -69,16 +71,9 @@ def test_non_symmetric_norms_known_values(a, norm):
     assert dense.spectral_norm(np.array(a)) == pytest.approx(norm, rel=4 * dense.EPS)
 
 
-def use_norm(monkeypatch, kernel):
-    """Bind ``kernel`` as spectral_norm in every sympllt module that bound it."""
-    patched = rebind(monkeypatch, dense.spectral_norm, kernel)
-    assert {"sympllt", "sympllt.dense", "sympllt.symplectic", "sympllt.checks",
-            "sympllt.diagnostics"} <= set(patched)
-
-
 def test_run_checks_verdicts_unchanged(monkeypatch):
     current = run_checks()
-    use_norm(monkeypatch, frozen_spectral_norm)
+    rebind(monkeypatch, dense.spectral_norm, frozen_spectral_norm, NORM_USERS)
     assert sympllt.spectral_norm is frozen_spectral_norm
     frozen = run_checks()
     verdicts = lambda report: [(r.context, r.bound_id, r.verdict) for r in report.results]
@@ -96,7 +91,7 @@ def diagnostics_rows():
 
 def test_only_omega_fields_change(monkeypatch):
     current = diagnostics_rows()
-    use_norm(monkeypatch, frozen_spectral_norm)
+    rebind(monkeypatch, dense.spectral_norm, frozen_spectral_norm, NORM_USERS)
     frozen = diagnostics_rows()
     assert len(current) == len(frozen) == 52
     for got, want in zip(current, frozen):
