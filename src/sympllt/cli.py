@@ -104,6 +104,14 @@ def _cmd_factor(args):
     return 0
 
 
+def _finish(rows, csv, text):
+    """Write ``rows`` to ``csv`` if given, print ``text``; 3 if a row failed, else 0."""
+    if csv:
+        diagnostics.write_csv(csv, rows)
+    print(text)
+    return 0 if all(r.ok for r in rows) else NUMERICAL_EXIT
+
+
 def _cmd_diagnose(args):
     if bool(args.infile) == bool(args.family):
         raise UsageError("diagnose takes exactly one of --family and --in")
@@ -114,30 +122,22 @@ def _cmd_diagnose(args):
         p, param = diagnostics.generate_family(args.family, **vars(args))
         family = args.family
     row = diagnostics.diagnose(p, family, param)
-    print(diagnostics.format_table([row]))
-    if args.csv:
-        diagnostics.write_csv(args.csv, [row])
+    code = _finish([row], args.csv, diagnostics.format_table([row]))
     if not row.ok:
         print(f"numerical failure: {row.error}", file=sys.stderr)
-        return NUMERICAL_EXIT
-    return 0
+    return code
 
 
 def _cmd_table(args):
     rows = diagnostics.run_table(args.id)
-    print(diagnostics.format_table(rows, title=f"table {args.id}"))
-    if args.csv:
-        diagnostics.write_csv(args.csv, rows)
-    return 0 if all(r.ok for r in rows) else NUMERICAL_EXIT
+    return _finish(rows, args.csv, diagnostics.format_table(rows, title=f"table {args.id}"))
 
 
 def _cmd_sweep(args):
     rows = diagnostics.run_sweep(args.family, args.n_from, args.n_to, args.seed)
-    diagnostics.write_csv(args.csv, rows)
-    bad = [r for r in rows if not r.ok]
-    print(f"wrote {len(rows)} rows to {args.csv}"
-          + (f" ({len(bad)} failed rows marked NaN)" if bad else ""))
-    return 0 if not bad else NUMERICAL_EXIT
+    bad = sum(not r.ok for r in rows)
+    return _finish(rows, args.csv, f"wrote {len(rows)} rows to {args.csv}"
+                   + (f" ({bad} failed rows marked NaN)" if bad else ""))
 
 
 def _cmd_check(args):

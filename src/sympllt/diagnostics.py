@@ -123,10 +123,13 @@ def _family_row(family, **args):
     return diagnose(matrix, family, param)
 
 
+def _is_int(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def run_table(table_id):
     """Rows of report table 1 (S^T S), 2 (its inverse) or 3 (Pascal family)."""
-    if (isinstance(table_id, bool) or not isinstance(table_id, (int, np.integer))
-            or table_id not in TABLES):
+    if not _is_int(table_id) or table_id not in TABLES:
         raise UsageError(f"run_table: table id must be 1, 2 or 3, got {table_id!r}")
     return [_family_row(family, **args) for family, args in TABLES[table_id]]
 
@@ -152,6 +155,9 @@ def run_sweep(family, n_from, n_to, seed=0):
     max_n = FAMILIES[family][2] if family in FAMILIES else None
     if max_n is None:
         raise UsageError(f"run_sweep: unsupported family {family!r}")
+    if not all(map(_is_int, (n_from, n_to, seed))):
+        raise UsageError(f"run_sweep: n_from, n_to and seed must be integers,"
+                         f" got {n_from!r}, {n_to!r}, {seed!r}")
     if not 1 <= n_from <= n_to <= max_n:
         raise UsageError(f"run_sweep: bad range {n_from}..{n_to}"
                          f" ({family} takes n in 1..{max_n})")
@@ -262,11 +268,13 @@ FIXTURES = [("minij", {}, ""), *[(family, {"theta": t}, f"{t:g}") for t in _THET
               for n in (5, 10, 20) for s in (1, 2, 3)]]
 
 
-def standard_fixtures():
-    """(name, partition) of each entry of FIXTURES, in order; a name is
-    '<family>' or '<family>/<label>', so that a scope selects one family."""
-    return [(f"{family}/{label}" if label else family, generate_family(family, **args)[0])
-            for family, args, label in FIXTURES]
+def standard_fixtures(scope="all"):
+    """(index, name, partition) of each entry of FIXTURES in the family
+    ``scope`` ('all': every entry), in order, building only those; a name
+    is '<family>' or '<family>/<label>'.  As the index seeds perturbations,
+    a scoped run repeats the full run's lines for its fixtures bitwise."""
+    return [(i, f"{family}/{label}" if label else family, generate_family(family, **args)[0])
+            for i, (family, args, label) in enumerate(FIXTURES) if scope in ("all", family)]
 
 
 def run_checks(scope="all", inject_w2_fault=False):
@@ -275,20 +283,14 @@ def run_checks(scope="all", inject_w2_fault=False):
 
     ``scope`` selects one family ('hyperbolic', 'pascal', ...); 'identity' runs
     against the identity matrix alone.  The fault injection flag corrupts
-    the computed lower-right w2 block by 1e-3 to prove the backward check
-    can fail.
+    the computed lower-right w2 block by checks.W2_FAULT to prove the
+    backward check can fail.
     """
-    if scope == "identity":
-        fixtures = [(0, "identity", BlockPartition.from_matrix(np.eye(4)))]
-    else:
-        # a fixture's index in the full set seeds its perturbations, so a
-        # scoped run repeats the full run's lines for its fixtures bitwise
-        fixtures = [(index, name, p) for index, (name, p) in enumerate(standard_fixtures())
-                    if scope in ("all", name.split("/")[0])]
-        if not fixtures:
-            scopes = ", ".join(["all", "identity", *dict.fromkeys(f for f, _, _ in FIXTURES)])
-            raise UsageError(f"run_checks: no fixtures match scope {scope!r} (scopes: {scopes})")
+    fixtures = ([(0, "identity", BlockPartition.from_matrix(np.eye(4)))] if scope == "identity"
+                else standard_fixtures(scope))
+    if not fixtures:
+        scopes = ", ".join(["all", "identity", *dict.fromkeys(f for f, _, _ in FIXTURES)])
+        raise UsageError(f"run_checks: no fixtures match scope {scope!r} (scopes: {scopes})")
 
-    fault = 1e-3 if inject_w2_fault else 0.0
-    return CheckSuiteReport(tuple(replace(r, context=name) for index, name, p in fixtures
-                                  for r in check_all_bounds(p, 7700 + 13 * index, fault)))
+    return CheckSuiteReport(tuple(replace(r, context=name) for i, name, p in fixtures
+                                  for r in check_all_bounds(p, 7700 + 13 * i, inject_w2_fault)))

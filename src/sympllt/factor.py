@@ -114,7 +114,6 @@ def upper_substitute(up, b):
     Reuses the forward kernel through the reversal permutation, keeping a
     single substitution code path.
     """
-    up = as_matrix(up)
     b = as_matrix(b)
     flipped = forward_substitute(reverse_permute(up), b[::-1, :])
     return flipped[::-1, :].copy()

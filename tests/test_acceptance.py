@@ -56,7 +56,7 @@ def _pass(criterion, message):
 def criterion_5_6_matrices():
     """The shared property set: every standard fixture plus 50 random
     structure-preserving matrices with n <= 50 at fixed seeds."""
-    mats = [(name, p) for name, p in standard_fixtures()]
+    mats = [(name, p) for _, name, p in standard_fixtures()]
     for i in range(50):
         n = (i % 50) + 1
         mats.append((f"extra-random-n{n}-s{1000 + i}", random_pdp(n, 1000 + i)))
@@ -194,7 +194,7 @@ def test_criterion_06_w1_error_property():
 
 def test_criterion_07_identity_suite():
     violations = []
-    for name, p in standard_fixtures():
+    for _, name, p in standard_fixtures():
         a = p.assemble()
         n = p.n
         norm_a = spectral_norm(a)
@@ -258,7 +258,7 @@ def test_criterion_07_identity_suite():
 def test_criterion_08_perturbation_suite():
     violations = []
     held = 0
-    for index, (name, p) in enumerate(standard_fixtures()):
+    for index, name, p in standard_fixtures():
         a = p.assemble()
         norm_a = spectral_norm(a)
         for scale_index, scale in enumerate(PERTURBATION_SCALES):
@@ -279,7 +279,7 @@ def test_criterion_08_perturbation_suite():
     # structural check: the factor difference keeps the block form exactly
     for fixture, seed in (("hyperbolic", 21), ("pascal", 22)):
         base = (hyperbolic_spd(3.0) if fixture == "hyperbolic"
-                else standard_fixtures()[7][1].assemble())
+                else standard_fixtures()[7][2].assemble())
         n = base.shape[0] // 2
         e = symmetric_perturbation(2 * n, 1e-8 * spectral_norm(base), seed)
         before = algorithm_w2(BlockPartition.from_matrix(base)).assemble()
@@ -327,7 +327,7 @@ def test_criterion_09_random_sweep(tmp_path):
 def test_criterion_10_fault_injection():
     p = BlockPartition.from_matrix(hyperbolic_spd(3.0))
     assert check_w2_backward(p).holds
-    injected = check_w2_backward(p, l22_perturbation=1e-3)
+    injected = check_w2_backward(p, inject_fault=True)
     assert injected.verdict == "violated"
 
     # the child imports the same sympllt package as this test, installed or not

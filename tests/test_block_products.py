@@ -123,7 +123,7 @@ def test_random_factors(n):
         assert_block_forms(f)
 
 
-FIXTURES = standard_fixtures()
+FIXTURES = [(name, p) for _, name, p in standard_fixtures()]
 
 
 @pytest.mark.parametrize("name,p", FIXTURES, ids=[name for name, _ in FIXTURES])

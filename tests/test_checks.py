@@ -12,6 +12,7 @@ from sympllt import (
     spectral_norm,
 )
 from sympllt.checks import BoundCheckResult
+from sympllt.errors import DimensionError, InvalidEntryError
 from sympllt.symplectic import algorithm_w2
 from sympllt.testmat import (
     minij,
@@ -53,8 +54,20 @@ def test_w2_backward_all_hyperbolic_thetas():
 def test_w2_backward_fault_injection_fires():
     p = BlockPartition.from_matrix(hyperbolic_spd(3.0))
     assert check_w2_backward(p).holds
-    r = check_w2_backward(p, l22_perturbation=1e-3)
+    r = check_w2_backward(p, inject_fault=True)
     assert r.verdict == "violated"
+
+
+def test_perturbation_experiment_validates_a_once_as_a_partition():
+    # a non-finite matrix is invalid before it is asymmetric, as BlockPartition says
+    a = minij()
+    a[0, 1] = np.nan
+    with pytest.raises(InvalidEntryError, match="^BlockPartition: input contains NaN"):
+        perturbation_experiment(a, np.zeros((4, 4)), "cholesky")
+    a = minij()
+    a[0, 1] += 1.0
+    with pytest.raises(DimensionError, match="^BlockPartition: asymmetry"):
+        perturbation_experiment(a, np.zeros((4, 4)), "cholesky")
 
 
 def test_w1_error_bound_identity():

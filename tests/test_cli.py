@@ -158,6 +158,22 @@ def test_table_command(tmp_path, capsys):
     assert len(text) == 5  # header + four thetas
 
 
+@pytest.mark.parametrize("args", [
+    ["table", "--id", "1"],
+    ["diagnose", "--family", "minij"],
+], ids=["table", "diagnose"])
+def test_a_row_command_whose_csv_write_fails_prints_nothing(tmp_path, capsys, monkeypatch, args):
+    # the CSV is written before the text is printed, so a failed write prints nothing
+    def unwritable(path, rows):
+        raise OSError(f"cannot write {path}")
+
+    monkeypatch.setattr(diagnostics, "write_csv", unwritable)
+    assert main([*args, "--csv", str(tmp_path / "rows.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write ")
+
+
 def test_sweep_command(tmp_path, capsys):
     csv = tmp_path / "sweep.csv"
     assert main(["sweep", "--family", "random", "--from", "1", "--to", "5",

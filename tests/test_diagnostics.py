@@ -9,8 +9,10 @@ import sympllt
 from sympllt import (InvalidEntryError, UsageError, checks, diagnose, diagnostics, run_checks,
                      run_sweep, run_table)
 from sympllt.diagnostics import (
+    FIXTURES,
     TABLE_QUANTITIES,
     format_table,
+    generate_family,
     read_csv,
     standard_fixtures,
     write_csv,
@@ -157,6 +159,20 @@ def test_sweep_rejects_bad_arguments():
         run_sweep("pascal", 1, 17)
     with pytest.raises(UsageError, match=r"random takes n in 1\.\.1000"):
         run_sweep("random", 999, 1001)
+
+
+@pytest.mark.parametrize("args", [
+    ("random", 1.0, 2), ("random", True, 2), ("random", 1, 2.0), ("pascal", 1, "2"),
+    ("random", 1, 2, 0.5), ("random", 1, 2, True),
+], ids=["float-from", "bool-from", "float-to", "str-to", "float-seed", "bool-seed"])
+def test_sweep_rejects_a_non_integer_argument(args):
+    with pytest.raises(UsageError, match=r"^run_sweep: n_from, n_to and seed must be integers"):
+        run_sweep(*args)
+
+
+def test_sweep_takes_numpy_integers():
+    rows = run_sweep("random", np.int64(1), np.int32(3), np.int64(4))
+    assert list(map(row_fields, rows)) == list(map(row_fields, run_sweep("random", 1, 3, 4)))
 
 
 def test_csv_round_trip_bitwise(tmp_path):
@@ -349,7 +365,7 @@ def test_run_checks_scope_filter():
         run_checks(scope="toeplitz")
 
 
-FAMILY_SCOPES = sorted({name.split("/")[0] for name, _ in standard_fixtures()})
+FAMILY_SCOPES = sorted({name.split("/")[0] for _, name, _ in standard_fixtures()})
 
 
 @pytest.fixture(scope="module")
@@ -363,6 +379,20 @@ def test_a_scoped_run_repeats_the_full_runs_results(full_suite, scope):
     expected = [fields for fields in result_bits(full_suite.results)
                 if fields[0][3].split("/")[0] == scope]
     assert result_bits(run_checks(scope=scope).results) == expected
+
+
+def test_a_scoped_run_builds_only_its_own_fixtures(monkeypatch):
+    made = []
+
+    def counted(family, **args):
+        made.append(family)
+        return generate_family(family, **args)
+
+    monkeypatch.setattr(diagnostics, "generate_family", counted)
+    for scope in ["all", "identity", *FAMILY_SCOPES]:
+        made.clear()
+        run_checks(scope)
+        assert made == [f for f, _, _ in FIXTURES if scope in ("all", f)], scope
 
 
 def test_run_checks_fault_injection_detected():
@@ -391,7 +421,7 @@ def test_one_check_suite_report_class():
 
 
 def test_fixture_set_composition():
-    names = [name for name, _ in standard_fixtures()]
+    names = [name for _, name, _ in standard_fixtures()]
     assert names[0] == "minij"
     families = [n.split("/")[0] for n in names]
     assert families.count("hyperbolic") == 4

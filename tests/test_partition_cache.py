@@ -45,7 +45,7 @@ def partition_checks(p):
     ]
 
 
-CASES = [(name, p) for name, p in standard_fixtures()] + [
+CASES = [(name, p) for _, name, p in standard_fixtures()] + [
     (f"random_pdp({n}, {n})", random_pdp(n, n)) for n in [*range(1, 13), 64, 65, 100]
 ]
 

@@ -40,7 +40,7 @@ from support import float_bits, rebind, result_bits
 def suite_perturbations(fixtures):
     """(index, scale index, p, e) for every perturbation run_checks makes."""
     out = []
-    for index, (_, p) in enumerate(fixtures):
+    for index, _, p in fixtures:
         for scale_index, scale in enumerate(PERTURBATION_SCALES):
             e = symmetric_perturbation(2 * p.n, scale * p.norm,
                                        7700 + 13 * index + scale_index)
@@ -48,7 +48,7 @@ def suite_perturbations(fixtures):
     return out
 
 
-FIXTURES = standard_fixtures()
+FIXTURES = [(name, p) for _, name, p in standard_fixtures()]
 IDS = [name for name, _ in FIXTURES]
 
 
@@ -187,9 +187,10 @@ def test_fixtures_from_the_registry_keep_names_order_and_bytes():
     expected = [(name, p.n, float_bits(p.a11), float_bits(p.a12), float_bits(p.a22))
                 for name, p in frozen_standard_fixtures()]
     actual = [(name, p.n, float_bits(p.a11), float_bits(p.a12), float_bits(p.a22))
-              for name, p in standard_fixtures()]
+              for _, name, p in standard_fixtures()]
     assert actual == expected
-    assert all(isinstance(p, BlockPartition) for _, p in standard_fixtures())
+    assert [i for i, _, _ in standard_fixtures()] == list(range(len(expected)))
+    assert all(isinstance(p, BlockPartition) for _, _, p in standard_fixtures())
 
 
 # --- work per check suite -------------------------------------------------------

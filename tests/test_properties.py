@@ -21,7 +21,7 @@ from sympllt.testmat import pascal_symplectic
 
 
 def test_cholesky_backward_bound_on_every_fixture():
-    for name, p in standard_fixtures():
+    for _, name, p in standard_fixtures():
         a = p.assemble()
         n = a.shape[0]
         if 2 * n * gamma(n + 1) >= 1.0:
@@ -32,7 +32,7 @@ def test_cholesky_backward_bound_on_every_fixture():
 
 
 def test_factor_diagonals_strictly_positive():
-    for name, p in standard_fixtures():
+    for _, name, p in standard_fixtures():
         for f in (algorithm_w1(p), algorithm_w2(p)):
             assert np.all(np.diag(f.p.l11) > 0), name
             assert np.all(np.diag(f.l22) > 0), name
@@ -55,7 +55,7 @@ def test_distance_on_exactly_symplectic_fixtures():
 
 
 def test_factorizations_reproducible_bitwise():
-    for name, p in standard_fixtures():
+    for _, name, p in standard_fixtures():
         f1a, f1b = algorithm_w1(p), algorithm_w1(p)
         assert np.array_equal(f1a.assemble(), f1b.assemble()), name
         f2a, f2b = algorithm_w2(p), algorithm_w2(p)
@@ -63,6 +63,6 @@ def test_factorizations_reproducible_bitwise():
 
 
 def test_fixture_matrices_are_spd():
-    for name, p in standard_fixtures():
+    for _, name, p in standard_fixtures():
         cholesky_lower(p.assemble())  # raises if not SPD
         assert np.array_equal(p.assemble(), p.assemble().T), name

@@ -43,7 +43,7 @@ def omegas(p):
             omega(algorithm_w2(p).assemble())]
 
 
-FIXTURES = standard_fixtures()
+FIXTURES = [(name, p) for _, name, p in standard_fixtures()]
 
 
 @pytest.mark.parametrize("name,p", FIXTURES, ids=[name for name, _ in FIXTURES])

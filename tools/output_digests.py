@@ -29,6 +29,10 @@ COMMANDS = [
     ("check", ["check"], []),
     ("check-w2-fault", ["check", "--inject-w2-fault"], []),
     ("check-identity", ["check", "--scope", "identity"], []),
+    ("check-minij", ["check", "--scope", "minij"], []),
+    ("check-random", ["check", "--scope", "random"], []),
+    ("check-pascal-w2-fault", ["check", "--scope", "pascal", "--inject-w2-fault"], []),
+    ("check-unknown-scope", ["check", "--scope", "nope"], []),
     *((f"table-{i}", ["table", "--id", str(i), "--csv", f"table-{i}.csv"], [f"table-{i}.csv"])
       for i in (1, 2, 3)),
     ("sweep", ["sweep", "--from", "1", "--to", "100", "--seed", "9", "--csv", "sweep.csv"],
