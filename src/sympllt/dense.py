@@ -22,6 +22,10 @@ def as_matrix(a):
     return np.ascontiguousarray(m)
 
 
+def _is_int(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _require_finite(a, op):
     if not np.all(np.isfinite(a)):
         raise InvalidEntryError(f"{op}: input contains NaN or infinite entries")

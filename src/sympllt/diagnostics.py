@@ -4,12 +4,13 @@ size sweeps, and the fixtures the bound-check suite runs over."""
 import csv
 import math
 import os
+import pickle
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .checks import CheckSuiteReport, check_all_bounds
-from .dense import spectral_norm
+from .dense import _is_int, spectral_norm
 from .errors import FactorError, InvalidEntryError, SingularError, UsageError
 from .matio import _non_ascii_error
 from .symplectic import BlockPartition
@@ -69,6 +70,29 @@ CSV_COLUMNS = [f.name for f in _FIELDS]
 TABLE_QUANTITIES = CSV_COLUMNS[3:-1]  # the fields after family, param, n; before error
 
 
+# diagnose's steps in row order as (field, getter); the w1 and w2 steps record
+# nothing and fail where their factor cannot be computed
+_STEPS = (
+    ("omega_A", lambda p: p.omega_norm),
+    ("kappa2_A", lambda p: p.kappa),
+    ("kappa2_A11", lambda p: p.kappa_a11),
+    ("w1", lambda p: p.w1),
+    ("w2", lambda p: p.w2),
+    ("norm2_invA11", lambda p: p.norm_inv_a11),
+    ("dist_sympl", lambda p: p.dist),
+    ("dist_sympl_rel", lambda p: p.dist / p.norm),
+    ("relerr_w1", lambda p: spectral_norm(p.w1.residual()) / p.norm),
+    ("relerr_w2", lambda p: spectral_norm(p.w2.residual()) / p.norm),
+    ("omega_L1", lambda p: spectral_norm(p.w1.omega())),
+    ("omega_L2", lambda p: spectral_norm(p.w2.omega())),
+)
+_ALL_STEPS = {name for name, _ in _STEPS}
+# a split row's child's steps, about half of the row's time, and the least n
+# at which a split row gained in measured pairs (BENCH_24.json)
+_CHILD_STEPS, _SPLIT_MIN_N = {"omega_A", "w2", "relerr_w2", "omega_L2"}, 96
+_whole_rows = False  # true while run_sweep runs: its rows are parallel already
+
+
 def diagnose(a, family="custom", param=0.0):
     """All reported quantities for one SPD matrix of even order.
 
@@ -76,6 +100,12 @@ def diagnose(a, family="custom", param=0.0):
     factorization failure, or a computed quantity that overflows records
     the failure message and marks the fields not computed by then NaN.
     A NaN or infinite input raises InvalidEntryError.
+
+    From n = _SPLIT_MIN_N, with more than one CPU in the affinity mask and
+    no other thread in the process, a forked child computes ||omega(A)||
+    and W2's fields by the same code: every bit is that of one process.
+    ``taskset -c 0`` keeps the row here; a profiler and ``ru_maxrss`` see
+    only this process's share.
     """
     # an overflow ends up in the row's error, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -87,27 +117,55 @@ def diagnose(a, family="custom", param=0.0):
             "norm2_A": p.norm,
             "norm2_A11": p.norm_a11,
         }
-        error = ""
-        try:
-            values["omega_A"] = p.omega_norm
-            values["kappa2_A"] = p.kappa
-            values["kappa2_A11"] = p.kappa_a11
-            f1, f2 = p.w1, p.w2
-            values["norm2_invA11"] = p.norm_inv_a11
-            values["dist_sympl"] = p.dist
-            values["dist_sympl_rel"] = p.dist / p.norm
-            values["relerr_w1"] = spectral_norm(f1.residual()) / p.norm
-            values["relerr_w2"] = spectral_norm(f2.residual()) / p.norm
-            values["omega_L1"] = spectral_norm(f1.omega())
-            values["omega_L2"] = spectral_norm(f2.omega())
-        except (FactorError, SingularError) as exc:
-            error = str(exc)
-        except InvalidEntryError:
-            # p.norm tested the input finite, so this NaN or infinity was computed
-            error = "a computed quantity overflowed to a non-finite value"
+        split = p.n >= _SPLIT_MIN_N and not _whole_rows and _fork_cpus() > 1
+        shares = _split(p) if split else [_run_steps(p, _ALL_STEPS)]
+        # the row ends at the first failing step of either share, as in one process
+        stop, error = min(failed for _, failed in shares)
+        for done, _ in shares:
+            values.update((name, value) for i, name, value in done if i < stop)
         for name in TABLE_QUANTITIES:
             values.setdefault(name, math.nan)
         return DiagnosticsRow(error=error, **values)
+
+
+def _run_steps(p, names):
+    # the named steps of _STEPS in row order up to the first that fails: the
+    # (index, field, value) of each field, and (that index, its message)
+    done = []
+    for i, (name, get) in enumerate(_STEPS):
+        if name not in names:
+            continue
+        try:
+            value = get(p)
+        except (FactorError, SingularError) as exc:
+            return done, (i, str(exc))
+        except InvalidEntryError:
+            # p.norm tested the input finite, so this NaN or infinity was computed
+            return done, (i, "a computed quantity overflowed to a non-finite value")
+        if name in TABLE_QUANTITIES:
+            done.append((i, name, value))
+    return done, (len(_STEPS), "")
+
+
+def _split(p):
+    # _run_steps here and, for _CHILD_STEPS, in a forked child that writes its
+    # result to a pipe at once and always ends in os._exit; the child is reaped
+    # after the pipe is closed, and if it wrote nothing its steps run here
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read)
+            os.write(write, pickle.dumps(_run_steps(p, _CHILD_STEPS)))
+        finally:
+            os._exit(0)
+    os.close(write)
+    try:
+        with os.fdopen(read, "rb") as fh:
+            mine, data = _run_steps(p, _ALL_STEPS - _CHILD_STEPS), fh.read()
+    finally:
+        os.waitpid(pid, 0)
+    return [mine, pickle.loads(data) if data else _run_steps(p, _CHILD_STEPS)]
 
 
 # each report table's rows, one column each in format_table, as (family, args)
@@ -121,10 +179,6 @@ TABLES = {
 def _family_row(family, **args):
     matrix, param = generate_family(family, **args)
     return diagnose(matrix, family, param)
-
-
-def _is_int(value):
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def run_table(table_id):
@@ -148,10 +202,12 @@ def run_sweep(family, n_from, n_to, seed=0):
     back in ascending n, and a raising row raises here, the lowest n's.
     One CPU (``taskset -c 0``), one row, or another thread (a Python
     thread makes forking unsafe; a multi-threaded BLAS's pool would be
-    multiplied past the CPUs) keeps the loop in this process.
-    A profiler in this process sees only the waiting parent, and a large
-    ``n_to`` holds one row per worker in memory at once.
+    multiplied past the CPUs) keeps the loop in this process, and no row
+    is split as diagnose splits one.  A profiler in this process sees only
+    the waiting parent, and a large ``n_to`` holds one row per worker in
+    memory at once.
     """
+    global _whole_rows
     max_n = FAMILIES[family][2] if family in FAMILIES else None
     if max_n is None:
         raise UsageError(f"run_sweep: unsupported family {family!r}")
@@ -162,11 +218,19 @@ def run_sweep(family, n_from, n_to, seed=0):
         raise UsageError(f"run_sweep: bad range {n_from}..{n_to}"
                          f" ({family} takes n in 1..{max_n})")
     sizes = range(n_from, n_to + 1)
+    workers, _whole_rows = min(_fork_cpus(), len(sizes)), True
+    try:
+        if workers > 1:
+            return _rows_in_workers(workers, family, sizes, seed)
+        return [_family_row(family, n=n, seed=seed + n) for n in sizes]
+    finally:
+        _whole_rows = False
+
+
+def _fork_cpus():
+    # the CPUs of the affinity mask, or 1 where another thread makes forking unsafe
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(sizes))
-    if workers > 1 and _single_threaded():
-        return _rows_in_workers(workers, family, sizes, seed)
-    return [_family_row(family, n=n, seed=seed + n) for n in sizes]
+    return cpus if cpus > 1 and _single_threaded() else 1
 
 
 def _single_threaded():

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .dense import matmul, spectral_norm
+from .dense import _is_int, matmul, spectral_norm
 from .errors import DomainError, InvalidEntryError
 from .symplectic import BlockPartition, _structure_inverse
 
@@ -31,6 +31,8 @@ class SplitMix64:
     """SplitMix64 stream: 64-bit state, one mix per output word."""
 
     def __init__(self, seed):
+        if not _is_int(seed):
+            raise DomainError(f"SplitMix64: seed must be an integer, got {seed!r}")
         self.state = int(seed) & _MASK
 
     def next_u64(self):
@@ -69,7 +71,7 @@ class SplitMix64:
         transcendental kernels.  A zero first uniform would shift the
         pairing of the redraw; the block then falls back to ``normal_pair``.
         """
-        pairs = (max(count, 0) + 1) // 2
+        pairs = (max(int(count), 0) + 1) // 2  # a numpy count would overflow below
         steps = np.arange(1, 2 * pairs + 1, dtype=np.uint64)
         words = _mix(np.uint64(self.state) + steps * np.uint64(_GOLDEN))
         u = (words >> np.uint64(11)).astype(np.float64) * _TWO53
@@ -175,10 +177,10 @@ def pascal_symplectic(n):
 
     g is the flipped Pascal matrix; its inverse is computed in exact
     integer arithmetic, so omega of the assembled matrix is the zero
-    matrix bitwise.  n is limited to 1..PASCAL_MAX_N.
+    matrix bitwise.  n is an integer in 1..PASCAL_MAX_N.
     """
-    if not 1 <= n <= PASCAL_MAX_N:
-        raise DomainError(f"pascal_symplectic: n must be in 1..{PASCAL_MAX_N}, got {n}")
+    if not _is_int(n) or not 1 <= n <= PASCAL_MAX_N:
+        raise DomainError(f"pascal_symplectic: n must be in 1..{PASCAL_MAX_N}, got {n!r}")
     g_int = _pascal_int(n)
     ginv_int = _pascal_inverse_int(n)
     flip = lambda m: [row[::-1] for row in m[::-1]]
@@ -244,11 +246,11 @@ def random_pdp(n, seed):
 
     r is n x n standard normal, h = (r + r^T)/2, g = r r^T plus a relative
     ridge of 1e-12 * trace / n to guard against a singular draw.  Same
-    (n, seed) always reproduces the same bytes.  n is limited to
+    (n, seed) always reproduces the same bytes.  n is an integer in
     1..RANDOM_MAX_N, checked before anything is allocated.
     """
-    if not 1 <= n <= RANDOM_MAX_N:
-        raise DomainError(f"random_pdp: n must be in 1..{RANDOM_MAX_N}, got {n}")
+    if not _is_int(n) or not 1 <= n <= RANDOM_MAX_N:
+        raise DomainError(f"random_pdp: n must be in 1..{RANDOM_MAX_N}, got {n!r}")
     r = standard_normal_matrix(n, seed)
     h = 0.5 * (r + r.T)
     g = matmul(r, r.T)
@@ -259,6 +261,8 @@ def random_pdp(n, seed):
 
 def symmetric_perturbation(order, norm, seed):
     """Symmetric random matrix scaled to the requested spectral norm."""
+    if not _is_int(order):
+        raise DomainError(f"symmetric_perturbation: order must be an integer, got {order!r}")
     r = standard_normal_matrix(order, seed)
     e = 0.5 * (r + r.T)
     scale = spectral_norm(e)

@@ -2,9 +2,12 @@
 
 import dataclasses
 import hashlib
+import os
 import sys
 
 import numpy as np
+
+from sympllt import diagnostics
 
 
 def uint64_view(a):
@@ -81,3 +84,14 @@ def rebind(monkeypatch, original, replacement, needed=()):
                     patched.append(name)
     assert set(needed) <= set(patched), patched
     return patched
+
+
+def set_cpus(monkeypatch, count):
+    """Make the affinity mask read ``count`` CPUs; one CPU keeps a sweep's rows and
+    a diagnose row in this process, as ``taskset -c 0`` does."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def forkable(monkeypatch):
+    """Take this process as single-threaded, whatever BLAS threads it runs."""
+    monkeypatch.setattr(diagnostics, "_single_threaded", lambda: True)

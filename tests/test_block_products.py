@@ -27,7 +27,7 @@ from sympllt.testmat import hyperbolic_spd, random_pdp
 from frozen import (frozen_condition_number, frozen_continued_product, frozen_full_omega,
                     frozen_full_residual, frozen_norm, frozen_omega11, frozen_residual22)
 from support import (assert_matches_reference, assert_same_bits, float_bits,
-                     normal, rebind, result_bits, row_fields, with_negative_zeros)
+                     normal, rebind, result_bits, row_fields, set_cpus, with_negative_zeros)
 
 
 def assert_block_forms(f):
@@ -194,6 +194,7 @@ def logged_matmul(monkeypatch):
 
 @pytest.mark.parametrize("n", [5, 100])
 def test_l21_gram_formed_once_per_diagnose(monkeypatch, n):
+    set_cpus(monkeypatch, 1)  # the whole row in this process, where the calls are logged
     calls = logged_matmul(monkeypatch)
     p = random_pdp(n, 11)
     assert diagnose(p).ok

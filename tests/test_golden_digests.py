@@ -34,7 +34,14 @@ HALF_ORDERS = (3, 32, 33, 65, 129)
 
 
 def uniform_matrix(rows, cols, seed):
-    """Entries u - 0.5 for successive uniforms u, row by row; exact in binary64."""
+    """Entries u - 0.5 for successive uniforms u, row by row; exact in binary64.
+    Each call gets its own copy, which it may change, of the one matrix built
+    per (rows, cols, seed), so the plain-loop rerun builds none again."""
+    return _uniform_matrix(rows, cols, seed).copy()
+
+
+@lru_cache(maxsize=None)
+def _uniform_matrix(rows, cols, seed):
     rng = SplitMix64(seed)
     return np.array([rng.uniform() - 0.5 for _ in range(rows * cols)]).reshape(rows, cols)
 

@@ -23,7 +23,7 @@ from sympllt.testmat import random_pdp, standard_normal_matrix
 from frozen import (frozen_assemble_omega_blocks, frozen_block_fill_residual,
                     frozen_factor_assemble, frozen_factor_omega, frozen_omega,
                     frozen_partition_assemble, frozen_structure_inverse, frozen_structure_matrix)
-from support import assert_same_bits
+from support import assert_same_bits, forkable, row_fields, set_cpus
 
 
 def traced_peak(fn, *args):
@@ -68,12 +68,21 @@ def held_arrays(obj):
     return found
 
 
-def test_partition_and_diagnose_peak_below_five_and_a_quarter_matrices():
+def test_partition_and_diagnose_peak_below_five_and_a_quarter_matrices(monkeypatch):
     # 5.76 order-2n matrices before the 2n x 2n fills took their blocks as arguments
     a = random_pdp(200, 1).assemble()
-    row, peak = traced_peak(lambda: diagnostics.diagnose(BlockPartition.from_matrix(a)))
+    run = lambda: traced_peak(lambda: diagnostics.diagnose(BlockPartition.from_matrix(a)))
+    set_cpus(monkeypatch, 1)  # the whole row in this process, where tracemalloc sees it
+    row, peak = run()
     assert row.ok
     assert peak < 5.25 * a.nbytes, peak / a.nbytes
+    # split, the row is the same and this process's share peaks no higher
+    set_cpus(monkeypatch, 2)
+    forkable(monkeypatch)
+    assert diagnostics._fork_cpus() > 1 and a.shape[0] // 2 >= diagnostics._SPLIT_MIN_N
+    split_row, split_peak = run()
+    assert row_fields(split_row) == row_fields(row)
+    assert split_peak <= peak, (split_peak / a.nbytes, peak / a.nbytes)
 
 
 def test_partition_holds_no_full_order_array_after_diagnose():

@@ -20,7 +20,7 @@ import pytest
 
 from sympllt import diagnostics
 from sympllt.errors import PivotNotPositiveError
-from support import row_fields
+from support import forkable, row_fields, set_cpus
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 # the worker path reads the affinity mask, which only some platforms have
@@ -49,17 +49,9 @@ def pids(tmp_path, monkeypatch):
     return read
 
 
-def _cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
-def _forkable(monkeypatch):
-    monkeypatch.setattr(diagnostics, "_single_threaded", lambda: True)
-
-
 def _in_process(monkeypatch, *sweep):
     with monkeypatch.context() as m:
-        _cpus(m, 1)
+        set_cpus(m, 1)
         return diagnostics.run_sweep(*sweep)
 
 
@@ -74,8 +66,8 @@ def _nothing_left(threads):
 def test_rows_equal_the_in_process_loop_bitwise(monkeypatch, pids, sweep, workers):
     expected = _in_process(monkeypatch, *sweep)
     assert pids() == {os.getpid()}
-    _cpus(monkeypatch, workers)
-    _forkable(monkeypatch)
+    set_cpus(monkeypatch, workers)
+    forkable(monkeypatch)
     threads = threading.active_count()
     rows = diagnostics.run_sweep(*sweep)
     workers_seen = pids()
@@ -98,8 +90,8 @@ def test_a_failing_row_raises_the_lowest_n_error(monkeypatch, pids):
     with pytest.raises(PivotNotPositiveError) as in_process:
         _in_process(monkeypatch, "random", 1, 40, 2)
     assert pids() == {os.getpid()}
-    _cpus(monkeypatch, 2)
-    _forkable(monkeypatch)
+    set_cpus(monkeypatch, 2)
+    forkable(monkeypatch)
     threads = threading.active_count()
     with pytest.raises(PivotNotPositiveError) as pooled:
         diagnostics.run_sweep("random", 1, 40, 2)
@@ -112,15 +104,15 @@ def test_a_failing_row_raises_the_lowest_n_error(monkeypatch, pids):
 
 
 def _one_cpu(m):
-    _cpus(m, 1)
+    set_cpus(m, 1)
 
 
 @pytest.mark.parametrize("condition, sweep", [
     (_one_cpu, ("random", 1, 6, 3)),
-    (_forkable, ("random", 7, 7, 3)),
+    (forkable, ("random", 7, 7, 3)),
 ], ids=["one-cpu", "one-row"])
 def test_conditions_that_keep_the_loop_in_process(monkeypatch, pids, condition, sweep):
-    _cpus(monkeypatch, 2)
+    set_cpus(monkeypatch, 2)
     condition(monkeypatch)
     rows = diagnostics.run_sweep(*sweep)
     assert pids() == {os.getpid()}
@@ -128,7 +120,7 @@ def test_conditions_that_keep_the_loop_in_process(monkeypatch, pids, condition, 
 
 
 def test_another_thread_keeps_the_loop_in_process(monkeypatch, pids):
-    _cpus(monkeypatch, 2)
+    set_cpus(monkeypatch, 2)
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()

@@ -252,3 +252,39 @@ def test_symmetric_perturbation_norm_and_symmetry():
     e = symmetric_perturbation(6, 2.5e-7, 9)
     assert np.array_equal(e, e.T)
     assert spectral_norm(e) == pytest.approx(2.5e-7, rel=1e-12)
+
+
+NOT_INTEGERS = [0.5, 3.0, True, np.float64(2.0), "3"]
+
+
+@pytest.mark.parametrize("seed", NOT_INTEGERS)
+def test_splitmix64_takes_an_integer_seed_only(seed):
+    with pytest.raises(DomainError, match="SplitMix64: seed must be an integer"):
+        SplitMix64(seed)
+    assert SplitMix64(np.uint64(7)).next_u64() == SplitMix64(7).next_u64()
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS)
+def test_random_pdp_takes_an_integer_n_and_seed_only(bad):
+    with pytest.raises(DomainError, match=r"random_pdp: n must be in 1\.\."):
+        random_pdp(bad, 1)
+    with pytest.raises(DomainError, match="seed must be an integer"):
+        random_pdp(3, bad)
+    assert np.array_equal(random_pdp(np.int64(3), np.int32(1)).assemble().view(np.uint64),
+                          random_pdp(3, 1).assemble().view(np.uint64))
+
+
+@pytest.mark.parametrize("n", NOT_INTEGERS)
+def test_pascal_symplectic_takes_an_integer_n_only(n):
+    with pytest.raises(DomainError, match=r"pascal_symplectic: n must be in 1\.\."):
+        pascal_symplectic(n)
+    assert np.array_equal(pascal_symplectic(np.int8(4)).assemble(),
+                          pascal_symplectic(4).assemble())
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS)
+def test_symmetric_perturbation_takes_an_integer_order_and_seed_only(bad):
+    with pytest.raises(DomainError, match="symmetric_perturbation: order must be an integer"):
+        symmetric_perturbation(bad, 1.0, 2)
+    with pytest.raises(DomainError, match="seed must be an integer"):
+        symmetric_perturbation(4, 1.0, bad)
