@@ -6,6 +6,7 @@ import math
 import os
 import pickle
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -90,7 +91,7 @@ _ALL_STEPS = {name for name, _ in _STEPS}
 # a split row's child's steps, about half of the row's time, and the least n
 # at which a split row gained in measured pairs (BENCH_24.json)
 _CHILD_STEPS, _SPLIT_MIN_N = {"omega_A", "w2", "relerr_w2", "omega_L2"}, 96
-_whole_rows = False  # true while run_sweep runs: its rows are parallel already
+_forking = False  # true while _forked runs jobs, so that no job forks again
 
 
 def diagnose(a, family="custom", param=0.0):
@@ -101,11 +102,9 @@ def diagnose(a, family="custom", param=0.0):
     the failure message and marks the fields not computed by then NaN.
     A NaN or infinite input raises InvalidEntryError.
 
-    From n = _SPLIT_MIN_N, with more than one CPU in the affinity mask and
-    no other thread in the process, a forked child computes ||omega(A)||
-    and W2's fields by the same code: every bit is that of one process.
-    ``taskset -c 0`` keeps the row here; a profiler and ``ru_maxrss`` see
-    only this process's share.
+    From n = _SPLIT_MIN_N, if _fork_cpus() > 1, a forked child computes
+    ||omega(A)|| and W2's fields bit for bit (_forked); ``taskset -c 0``
+    keeps the row here.  ``ru_maxrss`` and a profiler see only this share.
     """
     # an overflow ends up in the row's error, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -117,8 +116,9 @@ def diagnose(a, family="custom", param=0.0):
             "norm2_A": p.norm,
             "norm2_A11": p.norm_a11,
         }
-        split = p.n >= _SPLIT_MIN_N and not _whole_rows and _fork_cpus() > 1
-        shares = _split(p) if split else [_run_steps(p, _ALL_STEPS)]
+        split = p.n >= _SPLIT_MIN_N and _fork_cpus() > 1
+        names = [_ALL_STEPS - _CHILD_STEPS, _CHILD_STEPS] if split else [_ALL_STEPS]
+        shares = _forked([partial(_run_steps, p, share) for share in names])
         # the row ends at the first failing step of either share, as in one process
         stop, error = min(failed for _, failed in shares)
         for done, _ in shares:
@@ -145,27 +145,6 @@ def _run_steps(p, names):
         if name in TABLE_QUANTITIES:
             done.append((i, name, value))
     return done, (len(_STEPS), "")
-
-
-def _split(p):
-    # _run_steps here and, for _CHILD_STEPS, in a forked child that writes its
-    # result to a pipe at once and always ends in os._exit; the child is reaped
-    # after the pipe is closed, and if it wrote nothing its steps run here
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(read)
-            os.write(write, pickle.dumps(_run_steps(p, _CHILD_STEPS)))
-        finally:
-            os._exit(0)
-    os.close(write)
-    try:
-        with os.fdopen(read, "rb") as fh:
-            mine, data = _run_steps(p, _ALL_STEPS - _CHILD_STEPS), fh.read()
-    finally:
-        os.waitpid(pid, 0)
-    return [mine, pickle.loads(data) if data else _run_steps(p, _CHILD_STEPS)]
 
 
 # each report table's rows, one column each in format_table, as (family, args)
@@ -195,19 +174,9 @@ def run_sweep(family, n_from, n_to, seed=0):
     reproducible from its single seed.  Factorization failures mark their
     row and the sweep continues.
 
-    With more than one CPU in the affinity mask and no other thread in
-    the process, the rows are computed in forked worker processes, one
-    per CPU, largest n first, each whole in one process by the same code
-    and LAPACK: every bit is that of the in-process loop, the rows come
-    back in ascending n, and a raising row raises here, the lowest n's.
-    One CPU (``taskset -c 0``), one row, or another thread (a Python
-    thread makes forking unsafe; a multi-threaded BLAS's pool would be
-    multiplied past the CPUs) keeps the loop in this process, and no row
-    is split as diagnose splits one.  A profiler in this process sees only
-    the waiting parent, and a large ``n_to`` holds one row per worker in
-    memory at once.
+    The rows are computed by _forked, each whole and bit for bit in one
+    process (none split as diagnose splits one); the lowest n's error raises.
     """
-    global _whole_rows
     max_n = FAMILIES[family][2] if family in FAMILIES else None
     if max_n is None:
         raise UsageError(f"run_sweep: unsupported family {family!r}")
@@ -217,46 +186,77 @@ def run_sweep(family, n_from, n_to, seed=0):
     if not 1 <= n_from <= n_to <= max_n:
         raise UsageError(f"run_sweep: bad range {n_from}..{n_to}"
                          f" ({family} takes n in 1..{max_n})")
-    sizes = range(n_from, n_to + 1)
-    workers, _whole_rows = min(_fork_cpus(), len(sizes)), True
-    try:
-        if workers > 1:
-            return _rows_in_workers(workers, family, sizes, seed)
-        return [_family_row(family, n=n, seed=seed + n) for n in sizes]
-    finally:
-        _whole_rows = False
+    return _forked([partial(_family_row, family, n=n, seed=seed + n)
+                    for n in range(n_from, n_to + 1)])
 
 
 def _fork_cpus():
-    # the CPUs of the affinity mask, or 1 where another thread makes forking unsafe
+    # the CPUs of the affinity mask; 1 in a _forked job or beside another thread
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return cpus if cpus > 1 and _single_threaded() else 1
+    return cpus if cpus > 1 and not _forking and _single_threaded() else 1
 
 
 def _single_threaded():
-    # counts native threads too, which Python's threading module does not
-    # see; where /proc cannot tell, assume another thread
+    # counts native threads, unseen by threading; if /proc cannot tell, assume one more
     try:
         return len(os.listdir("/proc/self/task")) == 1
     except OSError:
         return False
 
 
-def _rows_in_workers(workers, family, sizes, seed):
-    # imported only where a sweep forks: the import takes tens of
-    # milliseconds, which no other command should pay at start-up
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+def _forked(jobs):
+    """[job() for job in jobs], every bit the same, with job i run in
+    process i % k for k = min(_fork_cpus(), len(jobs)): process 0 is this
+    one, the others are forked children.  Each process runs its jobs up to
+    the first raise (_run_jobs); a child pickles that in full, writes it to
+    its pipe and always ends in os._exit.  Every pipe is closed and every
+    child reaped, also when this process raises or is interrupted; a child
+    that ends without a result leaves its jobs to this process.  The first
+    raising job in order raises here."""
+    k, children = min(_fork_cpus(), max(len(jobs), 1)), []
+    try:
+        for r in range(1, k):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(read)
+                    for _, fh in children:
+                        fh.close()
+                    with os.fdopen(write, "wb") as fh:
+                        fh.write(pickle.dumps(_run_jobs(jobs[r::k])))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            children.append((pid, os.fdopen(read, "rb")))
+            os.close(write)
+        shares = [_run_jobs(jobs[::k])]
+        results = [fh.read() for _, fh in children]
+    finally:
+        for _, fh in children:
+            fh.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    shares += [pickle.loads(data) if status == 0 else _run_jobs(jobs[r::k])
+               for r, data, status in zip(range(1, k), results, statuses)]
+    # each process stopped at its first raise, so the earliest is the first in order
+    raised = [(r + k * len(done), exc) for r, (done, exc) in enumerate(shares) if exc]
+    if raised:
+        raise min(raised)[1]
+    return [shares[i % k][0][i // k] for i in range(len(jobs))]
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        # the largest rows first, so that no long row starts last
-        futures = {n: pool.submit(_family_row, family, n=n, seed=seed + n)
-                   for n in reversed(sizes)}
-        try:
-            return [futures[n].result() for n in sizes]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+
+def _run_jobs(jobs):
+    # the jobs' results up to the first raise, and its exception; no job forks
+    global _forking
+    done, outer, _forking = [], _forking, True
+    try:
+        for job in jobs:
+            done.append(job())
+    except Exception as exc:
+        return done, exc
+    finally:
+        _forking = outer
+    return done, None
 
 
 def _record(row):

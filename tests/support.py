@@ -92,6 +92,15 @@ def set_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
+def no_child_left():
+    """True if this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 def forkable(monkeypatch):
     """Take this process as single-threaded, whatever BLAS threads it runs."""
     monkeypatch.setattr(diagnostics, "_single_threaded", lambda: True)

@@ -17,7 +17,7 @@ import pytest
 
 from sympllt import diagnostics
 from sympllt.testmat import random_pdp
-from support import forkable, row_fields, set_cpus
+from support import forkable, no_child_left, row_fields, set_cpus
 
 N = diagnostics._SPLIT_MIN_N
 ALL_STEPS = diagnostics._ALL_STEPS
@@ -58,19 +58,11 @@ def split_row(monkeypatch, a):
     return diagnostics.diagnose(a, "file", 0.0)
 
 
-def reaped(pid):
-    try:
-        os.waitpid(pid, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
 def assert_split(runs, parent):
     # the parent's share here, the child's in one other process, and nothing left running
-    (child, names), = [(pid, names) for pid, names in runs if pid != parent]
+    (_, names), = [(pid, names) for pid, names in runs if pid != parent]
     assert (parent, ALL_STEPS - CHILD_STEPS) in runs and names == CHILD_STEPS
-    assert reaped(child)
+    assert no_child_left()
 
 
 def non_pd_schur(n):
@@ -154,11 +146,11 @@ def test_an_interrupted_parent_reaps_its_child(monkeypatch, steps_run):
 def test_sweep_and_table_rows_are_never_split(monkeypatch, steps_run):
     set_cpus(monkeypatch, 2)
     forkable(monkeypatch)
-    rows = diagnostics.run_sweep("random", N, N + 1, 1)  # two rows, in two workers
+    rows = diagnostics.run_sweep("random", N, N + 1, 1)  # two rows: here and in a child
     runs = steps_run()
     assert [r.n for r in rows] == [N, N + 1] and all(r.ok for r in rows)
     assert len(runs) == 2 and all(names == ALL_STEPS for _, names in runs)
-    assert os.getpid() not in {pid for pid, _ in runs}
+    assert os.getpid() in {pid for pid, _ in runs} and len({pid for pid, _ in runs}) == 2
     diagnostics.run_sweep("random", N, N, 2)  # one row, in this process
     assert steps_run() == [(os.getpid(), ALL_STEPS)]
     for table_id in diagnostics.TABLES:

@@ -1,14 +1,14 @@
-"""run_sweep's worker processes: the rows, the raised error and the state
-left behind equal those of the in-process loop.
+"""run_sweep's rows in forked processes: the rows, the raised error and the
+state left behind equal those of the in-process loop.
 
-The loop is forced with a one-CPU affinity mask.  This test process may
-run a BLAS thread pool, and run_sweep then keeps the loop in-process, so
-the tests that need the workers take the thread probe as single-threaded;
-``test_workers_run_when_no_blas_thread_runs`` runs sweeps in fresh
-processes without that patch.
+The loop is forced with a one-CPU affinity mask.  With k CPUs, this process
+computes every k-th row and k - 1 forked children the others.  This test
+process may run a BLAS thread pool, and run_sweep then keeps the loop
+in-process, so the tests that need the children take the thread probe as
+single-threaded; ``test_workers_run_when_no_blas_thread_runs`` runs sweeps
+in fresh processes without that patch.
 """
 
-import multiprocessing
 import os
 import pickle
 import subprocess
@@ -20,10 +20,10 @@ import pytest
 
 from sympllt import diagnostics
 from sympllt.errors import PivotNotPositiveError
-from support import forkable, row_fields, set_cpus
+from support import forkable, no_child_left, row_fields, set_cpus
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
-# the worker path reads the affinity mask, which only some platforms have
+# the forked path reads the affinity mask, which only some platforms have
 pytestmark = pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
                                 reason="no affinity mask on this platform")
 
@@ -56,7 +56,7 @@ def _in_process(monkeypatch, *sweep):
 
 
 def _nothing_left(threads):
-    return multiprocessing.active_children() == [] and threading.active_count() == threads
+    return no_child_left() and threading.active_count() == threads
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -70,8 +70,8 @@ def test_rows_equal_the_in_process_loop_bitwise(monkeypatch, pids, sweep, worker
     forkable(monkeypatch)
     threads = threading.active_count()
     rows = diagnostics.run_sweep(*sweep)
-    workers_seen = pids()
-    assert workers_seen and os.getpid() not in workers_seen
+    seen = pids()
+    assert os.getpid() in seen and len(seen) == workers
     assert [r.n for r in rows] == list(range(sweep[1], sweep[2] + 1))
     assert [row_fields(r) for r in rows] == [row_fields(r) for r in expected]
     assert _nothing_left(threads)
@@ -95,7 +95,9 @@ def test_a_failing_row_raises_the_lowest_n_error(monkeypatch, pids):
     threads = threading.active_count()
     with pytest.raises(PivotNotPositiveError) as pooled:
         diagnostics.run_sweep("random", 1, 40, 2)
-    assert os.getpid() not in pids()
+    # n = 5 raised in this process, n = 30 in the child
+    seen = pids()
+    assert os.getpid() in seen and len(seen) == 2
     assert str(pooled.value) == str(in_process.value) == \
         "pivot 5 is not positive (-1.0) during generation of n=5"
     assert (pooled.value.index, pooled.value.value, pooled.value.stage) == \
@@ -146,8 +148,8 @@ def test_importing_the_cli_leaves_multiprocessing_out():
 @pytest.mark.parametrize("blas_threads", ["1", "2"])
 def test_workers_run_when_no_blas_thread_runs(tmp_path, blas_threads):
     # a fresh process, no probe patched: a BLAS pinned to one thread runs
-    # no thread pool, and the rows go to the workers; a BLAS thread pool
-    # keeps them in the process
+    # no thread pool, and every k-th row stays in the process, the others go
+    # to its children; a BLAS thread pool keeps them all in the process
     log = tmp_path / "pids.log"
     code = """if True:
         import os, pickle, sys
@@ -170,7 +172,9 @@ def test_workers_run_when_no_blas_thread_runs(tmp_path, blas_threads):
                          env=dict(os.environ, PYTHONPATH=SRC, **pins), check=True).stdout
     parent, threads, pooled, looped = pickle.loads(out)
     in_parent = log.read_text(encoding="ascii").split().count(str(parent))
-    # the looped sweep's 12 rows are always computed in the parent
-    assert in_parent == (12 if threads == 1 else 24)
+    # the looped sweep's 12 rows are always computed in the parent, and
+    # with k CPUs every k-th row of the forked one (6 on two CPUs)
+    k = min(len(os.sched_getaffinity(0)), 12)
+    assert in_parent == (12 + len(range(0, 12, k)) if threads == 1 else 24)
     assert threads == 1 or blas_threads != "1"
     assert [row_fields(r) for r in pooled] == [row_fields(r) for r in looped]
