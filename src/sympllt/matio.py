@@ -7,10 +7,19 @@ strings that parse back to the exact same 64-bit float (Python repr), so
 write -> read is lossless.
 """
 
+import itertools
+import os
+import stat
+from functools import partial
+
 import numpy as np
 
 from .dense import as_matrix
 from .errors import DimensionError, InvalidEntryError, ParseError
+from .workers import _fork_cpus, _forked
+
+# the least file size at which a split parse gained in measured pairs
+_SPLIT_MIN_BYTES = 2 ** 19
 
 
 def write_matrix(path, a):
@@ -42,20 +51,42 @@ def read_matrix(path):
     non-finite float literal (Python's '_' digit separators are not part of
     the format), missing rows, or a non-blank line after the last data row
     (extra rows are rejected, not ignored).
+
+    A regular file of at least _SPLIT_MIN_BYTES, if _fork_cpus() > 1, is
+    parsed in two halves: this process parses the first half of the rows
+    while a forked child opens the file again and parses the second
+    (_forked).  The array and every error are those of one process; a pipe,
+    or ``taskset -c 0``, keeps the parse here.  ``ru_maxrss`` and a profiler
+    see only this process's half.
     """
     try:
-        # newline="": open() ends lines at \r, \n and \r\n, splitlines() at the rest
         with open(path, "r", encoding="ascii", newline="") as fh:
-            return _parse_matrix(line for piece in fh for line in piece.splitlines())
+            lines = _lines(fh)
+            k, rows, cols = _parse_header(lines)
+            st = os.fstat(fh.fileno())  # a child cannot open a pipe's data again
+            split = (stat.S_ISREG(st.st_mode) and st.st_size >= _SPLIT_MIN_BYTES
+                     and rows > 1 and _fork_cpus() > 1)
+            mid = rows // 2 if split else rows
+            jobs = [partial(_parse_rows, lines, k, rows, cols, 0, mid)]
+            if split:
+                jobs.append(partial(_reparse_rows, path, k, rows, cols, mid))
+            parts = _forked(jobs)
     except UnicodeDecodeError:
         raise _non_ascii_error(path) from None
     except ParseError as exc:
         # the decoder checks one block of the file at a time, so a non-ASCII
         # byte further on may not have been read yet
         raise _non_ascii_error(path, otherwise=exc) from None
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _parse_matrix(lines):
+def _lines(fh):
+    # fh opened with newline="": open() ends lines at \r, \n and \r\n, splitlines() at the rest
+    return (line for piece in fh for line in piece.splitlines())
+
+
+def _parse_header(lines):
+    # (k, rows, cols), where k is the header's line number
     k = 0
     for k, line in enumerate(lines, start=1):
         if not line.lstrip().startswith("#"):
@@ -73,10 +104,24 @@ def _parse_matrix(lines):
         raise ParseError(k, f"non-integer header fields in {line!r}") from None
     if rows < 1 or cols < 1:
         raise ParseError(k, "rows and cols must be positive")
+    return k, rows, cols
 
-    # grown row by row: a header claiming more than the file holds allocates nothing
+
+def _reparse_rows(path, k, rows, cols, lo):
+    # _parse_rows from row lo to the end, the file opened again: a forked
+    # child shares the offset of the caller's open file
+    with open(path, "r", encoding="ascii", newline="") as fh:
+        lines = _lines(fh)
+        next(itertools.islice(lines, k + lo, k + lo), None)  # skip to row lo
+        return _parse_rows(lines, k, rows, cols, lo, rows)
+
+
+def _parse_rows(lines, k, rows, cols, lo, hi):
+    # data rows lo..hi-1 of a header on line k, ``lines`` at row lo's line; the
+    # last range also rejects a non-blank line after the declared rows.  Grown
+    # row by row: a header claiming more than the file holds allocates nothing
     out = []
-    for lineno in range(k + 1, k + 1 + rows):
+    for lineno in range(k + 1 + lo, k + 1 + hi):
         line = next(lines, None)
         if line is None:
             raise ParseError(lineno, f"expected {rows} data rows, file ended early")
@@ -92,9 +137,10 @@ def _parse_matrix(lines):
             finite = False
         if not finite:
             raise _bad_token_error(lineno, parts)
-    for lineno, line in enumerate(lines, start=k + 1 + rows):
-        if line.strip():
-            raise ParseError(lineno, f"extra data after the {rows} declared rows")
+    if hi == rows:
+        for lineno, line in enumerate(lines, start=k + 1 + rows):
+            if line.strip():
+                raise ParseError(lineno, f"extra data after the {rows} declared rows")
     return np.array(out)
 
 

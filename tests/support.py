@@ -6,8 +6,9 @@ import os
 import sys
 
 import numpy as np
+import pytest
 
-from sympllt import diagnostics
+from sympllt import workers
 
 
 def uint64_view(a):
@@ -87,8 +88,8 @@ def rebind(monkeypatch, original, replacement, needed=()):
 
 
 def set_cpus(monkeypatch, count):
-    """Make the affinity mask read ``count`` CPUs; one CPU keeps a sweep's rows and
-    a diagnose row in this process, as ``taskset -c 0`` does."""
+    """Make the affinity mask read ``count`` CPUs; one CPU keeps a sweep's rows,
+    a diagnose row and a matrix file's parse in this process, as ``taskset -c 0`` does."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
@@ -103,4 +104,15 @@ def no_child_left():
 
 def forkable(monkeypatch):
     """Take this process as single-threaded, whatever BLAS threads it runs."""
-    monkeypatch.setattr(diagnostics, "_single_threaded", lambda: True)
+    monkeypatch.setattr(workers, "_single_threaded", lambda: True)
+
+
+@pytest.fixture(autouse=True)
+def nothing_left():
+    """Used by a test module: after each of its tests, as before it, this process
+    has no child and no more open file descriptors."""
+    assert no_child_left()
+    fds = len(os.listdir("/proc/self/fd"))
+    yield
+    assert no_child_left()
+    assert len(os.listdir("/proc/self/fd")) == fds

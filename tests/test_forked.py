@@ -1,38 +1,32 @@
-"""diagnostics._forked, the one place where work crosses a fork: it returns
+"""workers._forked, the one place where work crosses a fork: it returns
 ``[job() for job in jobs]``, with job i run in process i % k, process 0
 being this one.
 
 As in ``test_sweep_workers.py``, the affinity mask is patched to choose k
-and the thread probe is taken as single-threaded.  After each test no child
-is left, running or unreaped, and no file descriptor is left open.
+and the thread probe is taken as single-threaded; ``os.pipe`` or ``os.fork``
+is patched to raise where a child cannot be started.  After each test no
+child is left, running or unreaped, and no file descriptor is left open.
 """
 
+import errno
 import os
 from functools import partial
 
 import numpy as np
 import pytest
 
-from sympllt import diagnostics
-from support import forkable, no_child_left, set_cpus
+from sympllt import cli, diagnostics, workers, write_matrix
+from sympllt.testmat import random_pdp
+from support import forkable, nothing_left, row_fields, set_cpus  # noqa: F401
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self/fd"),
                                 reason="no fork or no /proc/self/fd on this platform")
 
 
-@pytest.fixture(autouse=True)
-def nothing_left():
-    assert no_child_left()
-    fds = len(os.listdir("/proc/self/fd"))
-    yield
-    assert no_child_left()
-    assert len(os.listdir("/proc/self/fd")) == fds
-
-
 def forked(monkeypatch, cpus, jobs):
     set_cpus(monkeypatch, cpus)
     forkable(monkeypatch)
-    return diagnostics._forked(jobs)
+    return workers._forked(jobs)
 
 
 def where(i):
@@ -94,14 +88,14 @@ def test_a_killed_childs_jobs_run_here(monkeypatch):
 
 def test_a_nested_forked_forks_nothing(monkeypatch):
     def nested(_):
-        return diagnostics._forked([partial(where, j) for j in range(3)])
+        return workers._forked([partial(where, j) for j in range(3)])
 
     outer = forked(monkeypatch, 2, [partial(nested, i) for i in range(2)])
     # each nested call ran all its jobs in the process that ran it
     assert [{pid for _, pid in inner} for inner in outer] == \
         [{os.getpid()}, {outer[1][0][1]}]
     assert outer[1][0][1] != os.getpid()
-    assert not diagnostics._forking and diagnostics._fork_cpus() == 2
+    assert not workers._forking and workers._fork_cpus() == 2
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -115,4 +109,44 @@ def test_an_interrupted_parent_reaps_its_children(monkeypatch, k):
 
     with pytest.raises(KeyboardInterrupt):
         forked(monkeypatch, k, [partial(interrupted, i) for i in range(2 * k)])
-    assert not diagnostics._forking
+    assert not workers._forking
+
+
+def failing_after(monkeypatch, name, started):
+    """Make os.<name> raise EAGAIN from its call ``started`` + 1 on."""
+    real, calls = getattr(os, name), []
+
+    def limited():
+        calls.append(name)
+        if len(calls) > started:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real()
+
+    monkeypatch.setattr(os, name, limited)
+
+
+@pytest.mark.parametrize("name", ["pipe", "fork"])
+@pytest.mark.parametrize("k, started", [(2, 0), (3, 0), (3, 1)])
+def test_the_jobs_of_a_child_that_cannot_start_run_here(monkeypatch, name, k, started):
+    failing_after(monkeypatch, name, started)
+    got = forked(monkeypatch, k, [partial(where, i) for i in range(7)])
+    assert [i for i, _ in got] == list(range(7))
+    # the children that started ran their jobs; every other job ran here
+    assert [pid == os.getpid() for _, pid in got] == \
+        [i % k == 0 or i % k > started for i in range(7)]
+
+
+def test_rows_and_a_parse_come_out_bitwise_when_no_child_starts(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "a.mat"
+    write_matrix(path, random_pdp(200, 1).assemble())  # order 400: the parse and the row split
+    diagnose = ["diagnose", "--in", str(path)]
+    with monkeypatch.context() as m:
+        set_cpus(m, 1)
+        assert cli.main(diagnose) == 0
+        printed, rows = capsys.readouterr(), diagnostics.run_sweep("random", 1, 9, 3)
+    failing_after(monkeypatch, "fork", 0)
+    set_cpus(monkeypatch, 2)
+    forkable(monkeypatch)
+    assert cli.main(diagnose) == 0 and capsys.readouterr() == printed
+    assert [row_fields(r) for r in diagnostics.run_sweep("random", 1, 9, 3)] == \
+        [row_fields(r) for r in rows]

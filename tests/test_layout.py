@@ -59,4 +59,4 @@ def test_src_forks_in_one_function_and_imports_no_process_pool():
                                   for line in range(node.lineno, node.end_lineno + 1)})
     assert [name for name in imports
             if name.split(".")[0] in ("multiprocessing", "concurrent") or name == "fork"] == []
-    assert [functions.get(fork) for fork in forks] == ["diagnostics._forked"]
+    assert [functions.get(fork) for fork in forks] == ["workers._forked"]

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sympllt import diagnostics, read_matrix, write_matrix
+from sympllt import diagnostics, read_matrix, workers, write_matrix
 from sympllt.symplectic import (BlockFactor, BlockPartition, _structure_inverse,
                                 _subtract_structure, assemble_omega_blocks, omega,
                                 structure_matrix)
@@ -79,7 +79,7 @@ def test_partition_and_diagnose_peak_below_five_and_a_quarter_matrices(monkeypat
     # split, the row is the same and this process's share peaks no higher
     set_cpus(monkeypatch, 2)
     forkable(monkeypatch)
-    assert diagnostics._fork_cpus() > 1 and a.shape[0] // 2 >= diagnostics._SPLIT_MIN_N
+    assert workers._fork_cpus() > 1 and a.shape[0] // 2 >= diagnostics._SPLIT_MIN_N
     split_row, split_peak = run()
     assert row_fields(split_row) == row_fields(row)
     assert split_peak <= peak, (split_peak / a.nbytes, peak / a.nbytes)

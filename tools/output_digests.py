@@ -41,7 +41,19 @@ COMMANDS = [
      ["random-200.mat"]),
     ("diagnose", ["diagnose", "--in", "random-200.mat", "--csv", "diagnose.csv"],
      ["diagnose.csv"]),
+    *((f"factor-{alg}", ["factor", "--alg", alg, "--in", "random-200.mat", "--out", f"{alg}.mat"],
+       [f"{alg}.mat"]) for alg in ("w1", "w2")),
+    ("diagnose-bad-row", ["diagnose", "--in", "bad-row.mat"], []),
 ]
+BAD_ROW = 300  # the data row of bad-row.mat whose first value is not a float literal
+
+
+def write_bad_row_copy():
+    """bad-row.mat: random-200.mat with one token of data row BAD_ROW (1-based)
+    corrupted, a row that a matrix file's split parse reads in its child."""
+    lines = Path("random-200.mat").read_text(encoding="ascii").split("\n")
+    lines[BAD_ROW] = "x" + lines[BAD_ROW]
+    Path("bad-row.mat").write_text("\n".join(lines), encoding="ascii")
 
 
 def run(argv):
@@ -58,6 +70,8 @@ def main():
         os.chdir(work)
         try:
             for name, argv, files in COMMANDS:
+                if name == "diagnose-bad-row":
+                    write_bad_row_copy()
                 print(f"{name} {hashlib.sha256(run(argv)).hexdigest()}")
                 for file in files:
                     print(f"{file} {hashlib.sha256(Path(file).read_bytes()).hexdigest()}")
