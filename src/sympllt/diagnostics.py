@@ -70,34 +70,37 @@ CSV_COLUMNS = [f.name for f in _FIELDS]
 TABLE_QUANTITIES = CSV_COLUMNS[3:-1]  # the fields after family, param, n; before error
 
 
-# diagnose's steps in row order as (field, getter); the w1 and w2 steps record
-# nothing and fail where their factor cannot be computed
+# diagnose's fields as (field, getter), each computed on its own: a getter
+# that raises leaves its own field NaN, and a cached block that failed raises
+# again in every getter that reads it.  A row's error is its first failing
+# step's: relerr_w2 comes right after kappa2_A11 because it forms l11, l21,
+# the Schur complement and its reverse Cholesky, so it fails first where
+# either factor cannot be formed, and every overflow has the same message.
 _STEPS = (
     ("omega_A", lambda p: p.omega_norm),
     ("kappa2_A", lambda p: p.kappa),
     ("kappa2_A11", lambda p: p.kappa_a11),
-    ("w1", lambda p: p.w1),
-    ("w2", lambda p: p.w2),
+    ("relerr_w2", lambda p: spectral_norm(p.w2.residual()) / p.norm),
     ("norm2_invA11", lambda p: p.norm_inv_a11),
     ("dist_sympl", lambda p: p.dist),
     ("dist_sympl_rel", lambda p: p.dist / p.norm),
     ("relerr_w1", lambda p: spectral_norm(p.w1.residual()) / p.norm),
-    ("relerr_w2", lambda p: spectral_norm(p.w2.residual()) / p.norm),
     ("omega_L1", lambda p: spectral_norm(p.w1.omega())),
     ("omega_L2", lambda p: spectral_norm(p.w2.omega())),
 )
 _ALL_STEPS = {name for name, _ in _STEPS}
 # a split row's child's steps, about half of the row's time, and the least n
 # at which a split row gained in measured pairs (BENCH_24.json)
-_CHILD_STEPS, _SPLIT_MIN_N = {"omega_A", "w2", "relerr_w2", "omega_L2"}, 96
+_CHILD_STEPS, _SPLIT_MIN_N = {"omega_A", "relerr_w2", "omega_L2"}, 96
 
 
 def diagnose(a, family="custom", param=0.0):
     """All reported quantities for one SPD matrix of even order.
 
     Runs both factorization routes.  A singular input or leading block, a
-    factorization failure, or a computed quantity that overflows records
-    the failure message and marks the fields not computed by then NaN.
+    factorization failure, or a computed quantity that overflows marks
+    NaN each field that needs it, and the row's error is the message of
+    its first failing field in _STEPS order.
     A NaN or infinite input raises InvalidEntryError.
 
     From n = _SPLIT_MIN_N, if _fork_cpus() > 1, a forked child computes
@@ -107,7 +110,7 @@ def diagnose(a, family="custom", param=0.0):
     # an overflow ends up in the row's error, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
         p = a if isinstance(a, BlockPartition) else BlockPartition.from_matrix(a)
-        values = {
+        values = dict.fromkeys(TABLE_QUANTITIES, math.nan) | {
             "family": family,
             "param": float(param),
             "n": p.n,
@@ -117,32 +120,26 @@ def diagnose(a, family="custom", param=0.0):
         split = p.n >= _SPLIT_MIN_N and _fork_cpus() > 1
         names = [_ALL_STEPS - _CHILD_STEPS, _CHILD_STEPS] if split else [_ALL_STEPS]
         shares = _forked([partial(_run_steps, p, share) for share in names])
-        # the row ends at the first failing step of either share, as in one process
-        stop, error = min(failed for _, failed in shares)
         for done, _ in shares:
-            values.update((name, value) for i, name, value in done if i < stop)
-        for name in TABLE_QUANTITIES:
-            values.setdefault(name, math.nan)
+            values |= done
+        _, error = min((f for _, failed in shares for f in failed), default=(0, ""))
         return DiagnosticsRow(error=error, **values)
 
 
 def _run_steps(p, names):
-    # the named steps of _STEPS in row order up to the first that fails: the
-    # (index, field, value) of each field, and (that index, its message)
-    done = []
+    # the named steps of _STEPS: {field: value} of each that computed, and
+    # [(index, message)] of each that raised
+    done, failed = {}, []
     for i, (name, get) in enumerate(_STEPS):
-        if name not in names:
-            continue
-        try:
-            value = get(p)
-        except (FactorError, SingularError) as exc:
-            return done, (i, str(exc))
-        except InvalidEntryError:
-            # p.norm tested the input finite, so this NaN or infinity was computed
-            return done, (i, "a computed quantity overflowed to a non-finite value")
-        if name in TABLE_QUANTITIES:
-            done.append((i, name, value))
-    return done, (len(_STEPS), "")
+        if name in names:
+            try:
+                done[name] = get(p)
+            except (FactorError, SingularError) as exc:
+                failed.append((i, str(exc)))
+            except InvalidEntryError:
+                # p.norm tested the input finite, so this NaN or infinity was computed
+                failed.append((i, "a computed quantity overflowed to a non-finite value"))
+    return done, failed
 
 
 # each report table's rows, one column each in format_table, as (family, args)

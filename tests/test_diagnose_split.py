@@ -9,6 +9,7 @@ pool.  Which process ran which steps is read from a log that each call of
 ``_run_steps`` appends to, in whichever process it runs.
 """
 
+import math
 import os
 import threading
 
@@ -95,18 +96,24 @@ def test_split_rows_equal_one_process_rows_bitwise(monkeypatch, steps_run, n, se
     assert threading.active_count() == threads and len(os.listdir("/proc/self/task")) == tasks
 
 
-@pytest.mark.parametrize("make, error", [
-    (non_pd_schur, "during schur-complement reverse-cholesky"),
-    (singular_leading_block, "condition_number: zero eigenvalue"),
-    (overflowing, "a computed quantity overflowed to a non-finite value"),
+# each error row's NaN fields: a field is NaN only if its own getter raised
+@pytest.mark.parametrize("make, error, nans", [
+    # the child's W2 fields fail; the caller's W1 fields reach the row only by the union
+    (non_pd_schur, "during schur-complement reverse-cholesky", {"relerr_w2", "omega_L2"}),
+    (singular_leading_block, "condition_number: zero eigenvalue",
+     {"kappa2_A11", "norm2_invA11", "dist_sympl", "dist_sympl_rel", "relerr_w1", "relerr_w2",
+      "omega_L1", "omega_L2"}),
+    (overflowing, "a computed quantity overflowed to a non-finite value", {"omega_A"}),
 ], ids=["non-pd-schur", "singular-leading-block", "overflow"])
-def test_split_error_rows_equal_one_process_rows_bitwise(monkeypatch, steps_run, make, error):
+def test_split_error_rows_equal_one_process_rows_bitwise(monkeypatch, steps_run, make, error,
+                                                         nans):
     a = make(N)
     expected = one_process_row(monkeypatch, a)
     steps_run()
     row = split_row(monkeypatch, a)
     assert_split(steps_run(), os.getpid())
     assert error in row.error
+    assert {name for name in diagnostics.TABLE_QUANTITIES if math.isnan(getattr(row, name))} == nans
     assert row_fields(row) == row_fields(expected)
 
 

@@ -17,10 +17,13 @@ from sympllt.diagnostics import (
     standard_fixtures,
     write_csv,
 )
+from sympllt.dense import condition_number, spectral_norm
+from sympllt.factor import spd_inverse
+from sympllt.symplectic import BlockPartition, algorithm_w1, distance_to_symplecticity, omega
 from sympllt.testmat import pascal_symplectic, random_pdp, hyperbolic_spd
 
 from frozen import frozen_report_describe, frozen_result_describe
-from support import result_bits, row_fields
+from support import float_bits, result_bits, row_fields
 
 
 def test_diagnose_rejects_nan_without_warning():
@@ -200,6 +203,62 @@ def test_diagnose_marks_an_overflowing_intermediate():
     for name in TABLE_QUANTITIES:
         if name not in ("norm2_A", "norm2_A11"):
             assert math.isnan(getattr(row, name)), name
+
+
+def standalone_w1_fields(a):
+    """The fields that need only A11, its Cholesky factor and W1, each computed
+    outside diagnose on a fresh partition."""
+    n, fresh = a.shape[0] // 2, BlockPartition.from_matrix
+    a11, norm = a[:n, :n], spectral_norm(a)
+    w1 = algorithm_w1(fresh(a))
+    dist = distance_to_symplecticity(w1, w1.p)
+    return {
+        "kappa2_A11": condition_number(a11),
+        "norm2_invA11": spectral_norm(spd_inverse(a11)),
+        "dist_sympl": dist,
+        "dist_sympl_rel": dist / norm,
+        "relerr_w1": spectral_norm(algorithm_w1(fresh(a)).residual()) / norm,
+        "omega_L1": spectral_norm(omega(algorithm_w1(fresh(a)).assemble())),
+    }
+
+
+def nan_fields(row):
+    return {name for name in TABLE_QUANTITIES if math.isnan(getattr(row, name))}
+
+
+def schur_error(pivot):
+    return f"pivot 1 is not positive ({pivot}) during schur-complement reverse-cholesky"
+
+
+# [[x, y], [y, y^2/x]] is singular in exact arithmetic, with a finite computed
+# kappa2(A), and W2's Schur complement is not positive; diag(1, 0) is singular
+# with the regular A11 = [1]
+@pytest.mark.parametrize("a, error, nans", [
+    ([[5.0, 3.0], [3.0, 9.0 / 5.0]], schur_error("0.0"), {"relerr_w2", "omega_L2"}),
+    ([[1.5, 7.0], [7.0, 49.0 / 1.5]], schur_error("-7.105427357601002e-15"),
+     {"relerr_w2", "omega_L2"}),
+    ([[1.0, 0.0], [0.0, 0.0]], "condition_number: zero eigenvalue",
+     {"kappa2_A", "relerr_w2", "omega_L2"}),
+], ids=["probe-zero-pivot", "probe-negative-pivot", "singular-a-regular-a11"])
+def test_a_failed_step_keeps_the_fields_that_do_not_need_it(a, error, nans):
+    a = np.array(a)
+    row = diagnose(a)
+    assert row.error == error
+    assert nan_fields(row) == nans
+    expected = standalone_w1_fields(a)
+    assert float_bits([getattr(row, name) for name in expected]) == float_bits(
+        list(expected.values()))
+
+
+def test_the_error_is_the_first_failing_field_in_row_order():
+    # W2's Schur step fails at -inf and ||inv(A11)|| = 1e310 overflows; the
+    # error is the Schur step's, as relerr_w2 precedes norm2_invA11 in
+    # diagnostics._STEPS, and ||omega(L1)|| = 0 is still computed
+    row = diagnose(np.array([[1e-310, 1.0], [1.0, -1.0]]))
+    assert row.error == schur_error("-inf")
+    assert float_bits([row.omega_L1]) == float_bits([0.0])
+    assert nan_fields(row) == {"norm2_invA11", "dist_sympl", "dist_sympl_rel", "relerr_w1",
+                               "relerr_w2", "omega_L2"}
 
 
 def test_diagnose_overflow_warns_nothing_and_keeps_the_row():

@@ -161,8 +161,20 @@ def test_cached_arrays_are_read_only():
     assert float_bits(f2.assemble()) == float_bits(expected.assemble())
 
 
-NAN_AFTER_FAILURE = ["norm2_invA11", "dist_sympl", "dist_sympl_rel", "relerr_w1",
-                     "relerr_w2", "omega_L1", "omega_L2"]
+FACTOR_FIELDS = ["norm2_invA11", "dist_sympl", "dist_sympl_rel", "relerr_w1",
+                 "relerr_w2", "omega_L1", "omega_L2"]
+NAN = math.nan
+# FACTOR_FIELDS of each failed stage's row
+FAILED_STAGE_FIELDS = {
+    # w1 and the leading Cholesky succeed; only W2's fields need the failed step
+    "schur-complement reverse-cholesky": [1.0, 2.0, 2.0, 2.0, NAN, 0.0, NAN],
+    # every factor field needs the failed leading Cholesky
+    "leading-block cholesky": [NAN] * 7,
+}
+
+
+def factor_fields(row):
+    return float_bits([getattr(row, name) for name in FACTOR_FIELDS])
 
 
 @pytest.mark.parametrize("diagonal,stage", [
@@ -170,15 +182,13 @@ NAN_AFTER_FAILURE = ["norm2_invA11", "dist_sympl", "dist_sympl_rel", "relerr_w1"
     ([1.0, -1.0, 1.0, 1.0], "leading-block cholesky"),
 ])
 def test_failed_factorization_keeps_nans(diagonal, stage):
-    # diag(1, 1, -1, 1) passes w1 and fails in the Schur step of w2: the
-    # fields that need both factors must stay NaN
     row = diagnose(np.diag(diagonal))
     assert not row.ok
     assert row.error.startswith("pivot 2 is not positive")
     assert row.error.endswith(f"during {stage}")
     assert (row.n, row.kappa2_A, row.norm2_A, row.kappa2_A11, row.norm2_A11,
             row.omega_A) == (2, 1.0, 1.0, 1.0, 1.0, 2.0)
-    assert all(math.isnan(getattr(row, name)) for name in NAN_AFTER_FAILURE)
+    assert factor_fields(row) == float_bits(FAILED_STAGE_FIELDS[stage])
 
 
 def test_singular_input_keeps_nans():
@@ -186,4 +196,4 @@ def test_singular_input_keeps_nans():
     assert row.error == "condition_number: zero eigenvalue"
     assert (row.n, row.norm2_A, row.norm2_A11, row.omega_A) == (2, 1.0, 1.0, 1.0)
     assert math.isnan(row.kappa2_A) and math.isnan(row.kappa2_A11)
-    assert all(math.isnan(getattr(row, name)) for name in NAN_AFTER_FAILURE)
+    assert factor_fields(row) == float_bits([NAN] * 7)

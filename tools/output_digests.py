@@ -22,7 +22,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import numpy as np  # noqa: E402
+
 from sympllt import cli  # noqa: E402
+from sympllt.matio import read_matrix, write_matrix  # noqa: E402
 
 # (name, argv, files the command writes)
 COMMANDS = [
@@ -44,6 +47,8 @@ COMMANDS = [
     *((f"factor-{alg}", ["factor", "--alg", alg, "--in", "random-200.mat", "--out", f"{alg}.mat"],
        [f"{alg}.mat"]) for alg in ("w1", "w2")),
     ("diagnose-bad-row", ["diagnose", "--in", "bad-row.mat"], []),
+    ("diagnose-non-pd-schur", ["diagnose", "--in", "non-pd-schur.mat", "--csv",
+                               "non-pd-schur.csv"], ["non-pd-schur.csv"]),
 ]
 BAD_ROW = 300  # the data row of bad-row.mat whose first value is not a float literal
 
@@ -54,6 +59,19 @@ def write_bad_row_copy():
     lines = Path("random-200.mat").read_text(encoding="ascii").split("\n")
     lines[BAD_ROW] = "x" + lines[BAD_ROW]
     Path("bad-row.mat").write_text("\n".join(lines), encoding="ascii")
+
+
+def write_non_pd_schur_copy():
+    """non-pd-schur.mat: random-200.mat with 50 I taken from its (2,2) block, so
+    that W2's Schur step fails while W1's fields are computed; its row splits."""
+    a = read_matrix("random-200.mat")
+    n = a.shape[0] // 2
+    a[n:, n:] -= 50.0 * np.eye(n)
+    write_matrix("non-pd-schur.mat", a)
+
+
+# the input files that a command reads, made from random-200.mat before it runs
+COPIES = {"diagnose-bad-row": write_bad_row_copy, "diagnose-non-pd-schur": write_non_pd_schur_copy}
 
 
 def run(argv):
@@ -70,8 +88,8 @@ def main():
         os.chdir(work)
         try:
             for name, argv, files in COMMANDS:
-                if name == "diagnose-bad-row":
-                    write_bad_row_copy()
+                if name in COPIES:
+                    COPIES[name]()
                 print(f"{name} {hashlib.sha256(run(argv)).hexdigest()}")
                 for file in files:
                     print(f"{file} {hashlib.sha256(Path(file).read_bytes()).hexdigest()}")
