@@ -80,6 +80,7 @@ _STEPS = (
     ("omega_A", lambda p: p.omega_norm),
     ("kappa2_A", lambda p: p.kappa),
     ("kappa2_A11", lambda p: p.kappa_a11),
+    ("norm2_A11", lambda p: p.norm_a11),
     ("relerr_w2", lambda p: spectral_norm(p.w2.residual()) / p.norm),
     ("norm2_invA11", lambda p: p.norm_inv_a11),
     ("dist_sympl", lambda p: p.dist),
@@ -89,9 +90,14 @@ _STEPS = (
     ("omega_L2", lambda p: spectral_norm(p.w2.omega())),
 )
 _ALL_STEPS = {name for name, _ in _STEPS}
-# a split row's child's steps, about half of the row's time, and the least n
-# at which a split row gained in measured pairs (BENCH_24.json)
-_CHILD_STEPS, _SPLIT_MIN_N = {"omega_A", "relerr_w2", "omega_L2"}, 96
+# A split row's child's steps, and the least n at which a split row gained in
+# measured pairs (BENCH_24.json).  The child takes omega_A, the largest step,
+# which needs no factor, and A11's and W1's inverse-based fields: both shares
+# then take about as long (BENCH_28.json), and the caller holds no inv(a11) or
+# drift while it forms omega11, the row's memory peak (a cut that left them
+# to the caller peaked above the whole row).
+_CHILD_STEPS, _SPLIT_MIN_N = {"omega_A", "norm2_A11", "kappa2_A11", "norm2_invA11",
+                              "dist_sympl", "dist_sympl_rel", "omega_L1"}, 96
 
 
 def diagnose(a, family="custom", param=0.0):
@@ -101,21 +107,22 @@ def diagnose(a, family="custom", param=0.0):
     factorization failure, or a computed quantity that overflows marks
     NaN each field that needs it, and the row's error is the message of
     its first failing field in _STEPS order.
-    A NaN or infinite input raises InvalidEntryError.
+    A NaN or infinite input raises InvalidEntryError, before any fork.
 
     From n = _SPLIT_MIN_N, if _fork_cpus() > 1, a forked child computes
-    ||omega(A)|| and W2's fields bit for bit (_forked); ``taskset -c 0``
-    keeps the row here.  ``ru_maxrss`` and a profiler see only this share.
+    ||omega(A)||, A11's fields and W1's inverse-based fields bit for bit
+    (_CHILD_STEPS, _forked); ``taskset -c 0`` keeps the row here.
+    ``ru_maxrss`` and a profiler see only this share.
     """
     # an overflow ends up in the row's error, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
         p = a if isinstance(a, BlockPartition) else BlockPartition.from_matrix(a)
+        # p.norm tests the input finite, and every share divides by it
         values = dict.fromkeys(TABLE_QUANTITIES, math.nan) | {
             "family": family,
             "param": float(param),
             "n": p.n,
             "norm2_A": p.norm,
-            "norm2_A11": p.norm_a11,
         }
         split = p.n >= _SPLIT_MIN_N and _fork_cpus() > 1
         names = [_ALL_STEPS - _CHILD_STEPS, _CHILD_STEPS] if split else [_ALL_STEPS]

@@ -16,7 +16,9 @@ import threading
 import numpy as np
 import pytest
 
-from sympllt import diagnostics
+from sympllt import diagnostics, workers
+from sympllt.errors import InvalidEntryError
+from sympllt.symplectic import BlockPartition
 from sympllt.testmat import random_pdp
 from support import forkable, no_child_left, row_fields, set_cpus
 
@@ -114,7 +116,44 @@ def test_split_error_rows_equal_one_process_rows_bitwise(monkeypatch, steps_run,
     assert_split(steps_run(), os.getpid())
     assert error in row.error
     assert {name for name in diagnostics.TABLE_QUANTITIES if math.isnan(getattr(row, name))} == nans
+    assert math.isfinite(row.norm2_A) and math.isfinite(row.norm2_A11)
     assert row_fields(row) == row_fields(expected)
+
+
+def test_a_non_finite_partition_raises_before_any_fork(monkeypatch, steps_run):
+    # ||A||'s eigensolve tests the input before the fork; no step runs
+    p = random_pdp(N, 10)
+    a22 = p.a22.copy()
+    a22[N // 2, N - 1] = np.inf
+    p = BlockPartition(n=p.n, a11=p.a11, a12=p.a12, a22=a22)
+
+    def no_fork():
+        pytest.fail("diagnose forked for a non-finite input")
+
+    set_cpus(monkeypatch, 2)
+    forkable(monkeypatch)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert workers._fork_cpus() > 1
+    with pytest.raises(InvalidEntryError) as raised:
+        diagnostics.diagnose(p, "file", 0.0)
+    assert str(raised.value) == "condition number: input contains NaN or infinite entries"
+    assert steps_run() == []
+
+
+def test_the_caller_forms_no_inverse_of_a11_in_a_split_row(monkeypatch, steps_run):
+    # inv(a11) and drift are cached only by the child's steps, so the caller's
+    # share does not hold them while it forms omega11 (test_memory_gates.py)
+    a = random_pdp(N, 11).assemble()
+    p = BlockPartition.from_matrix(a)
+    with monkeypatch.context() as m:
+        set_cpus(m, 1)
+        diagnostics.diagnose(p, "file", 0.0)
+    assert {"inv_a11", "drift"} <= vars(p).keys()
+    steps_run()
+    p = BlockPartition.from_matrix(a)
+    split_row(monkeypatch, p)
+    assert_split(steps_run(), os.getpid())
+    assert not {"inv_a11", "drift"} & vars(p).keys()
 
 
 def test_a_child_that_dies_leaves_its_steps_to_the_parent(monkeypatch, steps_run):

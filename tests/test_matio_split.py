@@ -1,6 +1,7 @@
 """read_matrix's split parse: a regular file of at least _SPLIT_MIN_BYTES is
-parsed in two halves, the second by a forked child, and the array and every
-ParseError are those of the parse in one process.
+parsed in two parts, the second, 1% of the rows short of a half, by a forked
+child, and the array and every ParseError are those of the parse in one
+process.
 
 As in ``test_diagnose_split.py``, the affinity mask is patched to one CPU to
 keep the parse in this process and to two to split it, and the thread probe
@@ -76,11 +77,16 @@ def assert_split_as_one_process(monkeypatch, parsed, path):
     return want, parsed()
 
 
+def cut(rows):
+    # the first row of the child's range: 1% of the rows past the middle
+    return rows * 51 // 100
+
+
 def assert_halves(runs, rows):
-    # this process parsed rows 0..rows // 2, one child the rest
+    # this process parsed rows 0..cut(rows), one child the rest
     here, child = sorted(runs, key=lambda run: run[1])
-    assert here == (os.getpid(), 0, rows // 2)
-    assert child[1:] == (rows // 2, rows) and child[0] != os.getpid()
+    assert here == (os.getpid(), 0, cut(rows))
+    assert child[1:] == (cut(rows), rows) and child[0] != os.getpid()
 
 
 @pytest.mark.parametrize("seed", [1, 20231011])
@@ -102,13 +108,13 @@ def matrix_text(rows, cols, ends):
     return PAD + (f"# note\n{rows} {cols}\n{body}\n  \n\n").encode("ascii")
 
 
-@pytest.mark.parametrize("end", ["\r", "\r\n", "\v", "\f", "\x1c", "\n"],
-                         ids=["cr", "crlf", "vt", "ff", "fs", "lf"])
+@pytest.mark.parametrize("end", ["\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\n"],
+                         ids=["cr", "crlf", "vt", "ff", "fs", "gs", "rs", "lf"])
 @pytest.mark.parametrize("rows", [9, 10])
 def test_line_ends_near_the_cut_read_bitwise(tmp_path, monkeypatch, parsed, end, rows):
     # the rows around the cut, and only they, end in ``end``
     path = tmp_path / "ends.mat"
-    near = range(rows // 2 - 2, rows // 2 + 1)
+    near = range(cut(rows) - 2, cut(rows) + 1)
     path.write_bytes(matrix_text(rows, 3, lambda i: end if i in near else "\n"))
     want, runs = assert_split_as_one_process(monkeypatch, parsed, path)
     assert want[:2] == ("array", (rows, 3))

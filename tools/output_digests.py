@@ -49,6 +49,7 @@ COMMANDS = [
     ("diagnose-bad-row", ["diagnose", "--in", "bad-row.mat"], []),
     ("diagnose-non-pd-schur", ["diagnose", "--in", "non-pd-schur.mat", "--csv",
                                "non-pd-schur.csv"], ["non-pd-schur.csv"]),
+    ("diagnose-crlf", ["diagnose", "--in", "crlf.mat", "--csv", "crlf.csv"], ["crlf.csv"]),
 ]
 BAD_ROW = 300  # the data row of bad-row.mat whose first value is not a float literal
 
@@ -70,8 +71,15 @@ def write_non_pd_schur_copy():
     write_matrix("non-pd-schur.mat", a)
 
 
+def write_crlf_copy():
+    """crlf.mat: random-200.mat with every line ended by \\r\\n, so that a
+    matrix file's split parse passes over CRLF lines to reach the child's rows."""
+    Path("crlf.mat").write_bytes(Path("random-200.mat").read_bytes().replace(b"\n", b"\r\n"))
+
+
 # the input files that a command reads, made from random-200.mat before it runs
-COPIES = {"diagnose-bad-row": write_bad_row_copy, "diagnose-non-pd-schur": write_non_pd_schur_copy}
+COPIES = {"diagnose-bad-row": write_bad_row_copy, "diagnose-non-pd-schur": write_non_pd_schur_copy,
+          "diagnose-crlf": write_crlf_copy}
 
 
 def run(argv):
