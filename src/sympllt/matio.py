@@ -7,7 +7,6 @@ strings that parse back to the exact same 64-bit float (Python repr), so
 write -> read is lossless.
 """
 
-import io
 import itertools
 import os
 import stat
@@ -21,7 +20,6 @@ from .workers import _fork_cpus, _forked
 
 # the least file size at which a split parse gained in measured pairs
 _SPLIT_MIN_BYTES = 2 ** 19
-_BREAKS = (b"\r", b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")  # str.splitlines' besides \n
 
 
 def write_matrix(path, a):
@@ -55,11 +53,12 @@ def read_matrix(path):
     (extra rows are rejected, not ignored).
 
     A regular file of at least _SPLIT_MIN_BYTES, if _fork_cpus() > 1, is
-    parsed in two parts: this process parses the first 51% of the rows
-    while a forked child opens the file again, passes over the lines before
-    its rows in bytes and parses the rest (_forked).  The array and every
-    error are those of one process; a pipe, or ``taskset -c 0``, keeps the
-    parse here.  ``ru_maxrss`` and a profiler see only this process's part.
+    parsed in two parts: this process parses the first 52% of the rows
+    while a forked child opens the file this process holds (not its path),
+    passes over the lines before its rows and parses the rest (_forked).
+    The array and every error are those of one process; a pipe, or
+    ``taskset -c 0``, keeps the parse here.  ``ru_maxrss`` and a profiler
+    see only this process's part.
     """
     try:
         with open(path, "r", encoding="ascii", newline="") as fh:
@@ -69,11 +68,11 @@ def read_matrix(path):
             split = (stat.S_ISREG(st.st_mode) and st.st_size >= _SPLIT_MIN_BYTES
                      and rows > 1 and _fork_cpus() > 1)
             # the child starts later, by its fork and its pass over the lines
-            # before its rows, so it takes 1% of the rows fewer than a half
-            mid = rows * 51 // 100 if split else rows
+            # before its rows, so it takes 2% of the rows fewer than a half
+            mid = rows * 52 // 100 if split else rows
             jobs = [partial(_parse_rows, lines, k, rows, cols, 0, mid)]
             if split:
-                jobs.append(partial(_reparse_rows, path, k, rows, cols, mid))
+                jobs.append(partial(_reparse_rows, fh.fileno(), k, rows, cols, mid))
             parts = _forked(jobs)
     except UnicodeDecodeError:
         raise _non_ascii_error(path) from None
@@ -111,22 +110,13 @@ def _parse_header(lines):
     return k, rows, cols
 
 
-def _reparse_rows(path, k, rows, cols, lo):
-    # _parse_rows from row lo to the end, the file opened again: a forked
-    # child shares the offset of the caller's open file.  The k + lo lines
-    # before row lo are passed over in bytes, in pieces ending at \n: only a
-    # piece holding another line break is decoded and split (the caller
-    # decodes these lines, so it raises on a non-ASCII byte first)
-    with open(path, "rb") as fh:
-        skip, rest = k + lo, []
-        for piece in fh:
-            lines = (piece.decode("ascii").splitlines()
-                     if any(brk in piece for brk in _BREAKS) else [piece])
-            skip, rest = skip - len(lines), lines[skip:]  # the lines from row lo on
-            if skip <= 0:
-                break
-        with io.TextIOWrapper(fh, "ascii", newline="") as text:
-            return _parse_rows(itertools.chain(rest, _lines(text)), k, rows, cols, lo, rows)
+def _reparse_rows(fd, k, rows, cols, lo):
+    # _parse_rows from row lo to the end of the file open as fd in the caller.
+    # /proc/self/fd/<fd> opens that same file with an offset of its own (a
+    # forked child shares the caller's), also if its path was replaced or
+    # unlinked; a split runs only where _single_threaded listed /proc/self/task
+    with open(f"/proc/self/fd/{fd}", "r", encoding="ascii", newline="") as fh:
+        return _parse_rows(itertools.islice(_lines(fh), k + lo, None), k, rows, cols, lo, rows)
 
 
 def _parse_rows(lines, k, rows, cols, lo, hi):

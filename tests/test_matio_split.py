@@ -1,5 +1,5 @@
 """read_matrix's split parse: a regular file of at least _SPLIT_MIN_BYTES is
-parsed in two parts, the second, 1% of the rows short of a half, by a forked
+parsed in two parts, the second, 2% of the rows short of a half, by a forked
 child, and the array and every ParseError are those of the parse in one
 process.
 
@@ -25,6 +25,7 @@ from sympllt.testmat import random_pdp, standard_normal_matrix
 from support import forkable, nothing_left, set_cpus  # noqa: F401
 
 import test_matio
+from test_forked import failing_after
 from test_matio_equivalence import read_outcome
 
 PAD = b"# " + b"p" * matio._SPLIT_MIN_BYTES + b"\n"
@@ -78,8 +79,8 @@ def assert_split_as_one_process(monkeypatch, parsed, path):
 
 
 def cut(rows):
-    # the first row of the child's range: 1% of the rows past the middle
-    return rows * 51 // 100
+    # the first row of the child's range: 2% of the rows past the middle
+    return rows * 52 // 100
 
 
 def assert_halves(runs, rows):
@@ -204,6 +205,45 @@ def test_a_child_that_dies_leaves_its_rows_to_this_process(tmp_path, monkeypatch
     monkeypatch.setattr(matio, "_parse_rows", dying)
     assert split(monkeypatch, path) == want
     assert parsed() == [(parent, 0, 5), (parent, 5, 10)]
+
+
+def write_padded(path, a):
+    # write_matrix's file of ``a`` after a comment that takes it past the threshold
+    write_matrix(path, a)
+    path.write_bytes(PAD + path.read_bytes())
+
+
+@pytest.mark.parametrize("child", ["started", "not-started"])
+@pytest.mark.parametrize("change", ["replaced", "unlinked"])
+def test_a_path_changed_during_the_read_reads_the_opened_file(tmp_path, monkeypatch, parsed,
+                                                              change, child):
+    # the path is replaced by another file of the same shape, or unlinked,
+    # after read_matrix opened it and before the child starts; a child that
+    # cannot start leaves this process to parse its rows of the file it holds
+    path, other = tmp_path / "a.mat", tmp_path / "b.mat"
+    a = standard_normal_matrix(10, 1)
+    real = matio._forked
+
+    def changed_first(jobs):
+        if change == "replaced":
+            os.replace(other, path)
+        else:
+            path.unlink()
+        return real(jobs)
+
+    monkeypatch.setattr(matio, "_forked", changed_first)
+    if child == "not-started":
+        failing_after(monkeypatch, "fork", 0)
+    for read in (one_process, split):
+        write_padded(path, a)
+        write_padded(other, standard_normal_matrix(10, 2))
+        assert read(monkeypatch, path) == ("array", a.shape, a.view(np.uint64).tobytes())
+    whole, *halves = parsed()
+    assert whole == (os.getpid(), 0, 10)
+    if child == "started":
+        assert_halves(halves, 10)
+    else:
+        assert sorted(halves) == [(os.getpid(), 0, cut(10)), (os.getpid(), cut(10), 10)]
 
 
 def test_one_cpu_or_a_small_file_keeps_the_parse_here(tmp_path, monkeypatch, parsed):

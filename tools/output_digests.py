@@ -15,6 +15,7 @@ these outputs.
 import contextlib
 import hashlib
 import io
+import itertools
 import os
 import sys
 import tempfile
@@ -50,6 +51,7 @@ COMMANDS = [
     ("diagnose-non-pd-schur", ["diagnose", "--in", "non-pd-schur.mat", "--csv",
                                "non-pd-schur.csv"], ["non-pd-schur.csv"]),
     ("diagnose-crlf", ["diagnose", "--in", "crlf.mat", "--csv", "crlf.csv"], ["crlf.csv"]),
+    ("diagnose-mixed-ends", ["diagnose", "--in", "mixed-ends.mat"], []),
 ]
 BAD_ROW = 300  # the data row of bad-row.mat whose first value is not a float literal
 
@@ -77,9 +79,19 @@ def write_crlf_copy():
     Path("crlf.mat").write_bytes(Path("random-200.mat").read_bytes().replace(b"\n", b"\r\n"))
 
 
+def write_mixed_ends_copy():
+    """mixed-ends.mat: random-200.mat with its data rows ending in \\r, \\v, \\f,
+    \\x1c, \\x1d and \\x1e in turn, every line end of a matrix file but \\n and
+    \\r\\n, so that a split parse's child passes over each to reach its rows."""
+    header, *rows = Path("random-200.mat").read_text(encoding="ascii").splitlines()
+    ends = itertools.cycle("\r\v\f\x1c\x1d\x1e")
+    text = header + "\n" + "".join(row + end for row, end in zip(rows, ends))
+    Path("mixed-ends.mat").write_bytes(text.encode("ascii"))
+
+
 # the input files that a command reads, made from random-200.mat before it runs
 COPIES = {"diagnose-bad-row": write_bad_row_copy, "diagnose-non-pd-schur": write_non_pd_schur_copy,
-          "diagnose-crlf": write_crlf_copy}
+          "diagnose-crlf": write_crlf_copy, "diagnose-mixed-ends": write_mixed_ends_copy}
 
 
 def run(argv):
