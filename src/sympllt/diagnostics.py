@@ -3,6 +3,7 @@ size sweeps, and the fixtures the bound-check suite runs over."""
 
 import csv
 import math
+from contextlib import suppress
 from dataclasses import dataclass, fields, replace
 from functools import partial
 
@@ -90,14 +91,27 @@ _STEPS = (
     ("omega_L2", lambda p: spectral_norm(p.w2.omega())),
 )
 _ALL_STEPS = {name for name, _ in _STEPS}
-# A split row's child's steps, and the least n at which a split row gained in
-# measured pairs (BENCH_24.json).  The child takes omega_A, the largest step,
-# which needs no factor, and A11's and W1's inverse-based fields: both shares
-# then take about as long (BENCH_28.json), and the caller holds no inv(a11) or
-# drift while it forms omega11, the row's memory peak (a cut that left them
-# to the caller peaked above the whole row).
-_CHILD_STEPS, _SPLIT_MIN_N = {"omega_A", "norm2_A11", "kappa2_A11", "norm2_invA11",
-                              "dist_sympl", "dist_sympl_rel", "omega_L1"}, 96
+# The cached factor blocks of BlockPartition that a two-round row forms in
+# this process for both rounds' fields, in the order a job forms them.
+_BLOCKS = ("l11", "l21", "omega11", "l11_inv_t", "schur", "_w2_l22", "gram")
+# A split row's schedule: rounds of _forked jobs, each job the names of the
+# blocks and steps it computes, the first job here and the second in a child
+# forked for its round.  From _SPLIT_MIN_N (BENCH_24.json), one round: the
+# child takes omega_A, the largest step, which needs no factor, and A11's and
+# W1's inverse-based fields, so both take about as long (BENCH_28.json), and
+# each forms the blocks it reads.  From _ROUNDS_MIN_N, where a second fork
+# costs less than forming them twice (BENCH_30.json), two rounds: the blocks
+# here while a child computes the factor-free fields, then W2's fields here
+# while a child forked from the cached blocks computes the others.  This
+# process holds no inv(a11) or drift while it forms omega11, the row's
+# memory peak (a cut that left them to it peaked above the whole row).
+_CHILD_STEPS = {"omega_A", "norm2_A11", "kappa2_A11", "norm2_invA11", "dist_sympl",
+                "dist_sympl_rel", "omega_L1"}
+_SPLIT_MIN_N, _ROUNDS_MIN_N = 96, 144
+_ONE_ROUND = [[_ALL_STEPS - _CHILD_STEPS, _CHILD_STEPS]]
+_TWO_ROUNDS = [[set(_BLOCKS), {"omega_A", "kappa2_A11", "norm2_A11"}],
+               [{"kappa2_A", "relerr_w2", "omega_L2"},
+                {"norm2_invA11", "dist_sympl", "dist_sympl_rel", "relerr_w1", "omega_L1"}]]
 
 
 def diagnose(a, family="custom", param=0.0):
@@ -109,10 +123,15 @@ def diagnose(a, family="custom", param=0.0):
     its first failing field in _STEPS order.
     A NaN or infinite input raises InvalidEntryError, before any fork.
 
-    From n = _SPLIT_MIN_N, if _fork_cpus() > 1, a forked child computes
-    ||omega(A)||, A11's fields and W1's inverse-based fields bit for bit
-    (_CHILD_STEPS, _forked); ``taskset -c 0`` keeps the row here.
-    ``ru_maxrss`` and a profiler see only this share.
+    From n = _SPLIT_MIN_N, if _fork_cpus() > 1, forked children compute
+    part of the row bit for bit (_forked).  Below _ROUNDS_MIN_N one child
+    computes ||omega(A)||, A11's fields and W1's inverse-based fields
+    (_ONE_ROUND).  From it a first child computes ||omega(A)||, ||A11|| and
+    kappa(A11) while this process forms the factor blocks; then a second,
+    forked from them, computes W1's fields, ||inv(A11)|| and the distance to
+    symplecticity while this process computes kappa(A) and W2's fields
+    (_TWO_ROUNDS).  ``taskset -c 0`` keeps the row here.  ``ru_maxrss`` and
+    a profiler see only this process's share.
     """
     # an overflow ends up in the row's error, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -124,9 +143,11 @@ def diagnose(a, family="custom", param=0.0):
             "n": p.n,
             "norm2_A": p.norm,
         }
-        split = p.n >= _SPLIT_MIN_N and _fork_cpus() > 1
-        names = [_ALL_STEPS - _CHILD_STEPS, _CHILD_STEPS] if split else [_ALL_STEPS]
-        shares = _forked([partial(_run_steps, p, share) for share in names])
+        rounds = [[_ALL_STEPS]]
+        if p.n >= _SPLIT_MIN_N and _fork_cpus() > 1:
+            rounds = _TWO_ROUNDS if p.n >= _ROUNDS_MIN_N else _ONE_ROUND
+        shares = [share for jobs in rounds
+                  for share in _forked([partial(_run_steps, p, names) for names in jobs])]
         for done, _ in shares:
             values |= done
         _, error = min((f for _, failed in shares for f in failed), default=(0, ""))
@@ -134,8 +155,13 @@ def diagnose(a, family="custom", param=0.0):
 
 
 def _run_steps(p, names):
-    # the named steps of _STEPS: {field: value} of each that computed, and
-    # [(index, message)] of each that raised
+    # the named blocks of _BLOCKS, then the named steps of _STEPS: {field:
+    # value} of each step that computed, and [(index, message)] of each that
+    # raised.  A block that raises is left uncached, so that each step that
+    # reads it raises its own error, as in one process
+    for name in filter(names.__contains__, _BLOCKS):
+        with suppress(FactorError, SingularError, InvalidEntryError):
+            getattr(p, name)
     done, failed = {}, []
     for i, (name, get) in enumerate(_STEPS):
         if name in names:
@@ -213,8 +239,8 @@ def read_csv(path):
     cannot parse or that is not written as ``write_csv`` writes its value
     raises UsageError naming the line."""
     rows = []
-    try:
-        with open(path, newline="", encoding="ascii") as fh:
+    with open(path, newline="", encoding="ascii") as fh:
+        try:
             reader = csv.reader(fh)
             header = next(reader, [])
             if header != CSV_COLUMNS:
@@ -232,8 +258,8 @@ def read_csv(path):
                         raise UsageError(f"line {reader.line_num}: {name} field "
                                          f"{got!r} is not written as {want!r}")
                 rows.append(row)
-    except UnicodeDecodeError:
-        raise UsageError(str(_non_ascii_error(path, csv_lines=True))) from None
+        except UnicodeDecodeError:
+            raise UsageError(str(_non_ascii_error(fh.buffer, csv_lines=True))) from None
     return rows
 
 

@@ -60,8 +60,8 @@ def read_matrix(path):
     ``taskset -c 0``, keeps the parse here.  ``ru_maxrss`` and a profiler
     see only this process's part.
     """
-    try:
-        with open(path, "r", encoding="ascii", newline="") as fh:
+    with open(path, "r", encoding="ascii", newline="") as fh:
+        try:
             lines = _lines(fh)
             k, rows, cols = _parse_header(lines)
             st = os.fstat(fh.fileno())  # a child cannot open a pipe's data again
@@ -74,12 +74,12 @@ def read_matrix(path):
             if split:
                 jobs.append(partial(_reparse_rows, fh.fileno(), k, rows, cols, mid))
             parts = _forked(jobs)
-    except UnicodeDecodeError:
-        raise _non_ascii_error(path) from None
-    except ParseError as exc:
-        # the decoder checks one block of the file at a time, so a non-ASCII
-        # byte further on may not have been read yet
-        raise _non_ascii_error(path, otherwise=exc) from None
+        except UnicodeDecodeError:
+            raise _non_ascii_error(fh.buffer) from None
+        except ParseError as exc:
+            # the decoder checks one block of the file at a time, so a non-ASCII
+            # byte further on may not have been read yet
+            raise _non_ascii_error(fh.buffer, otherwise=exc) from None
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -160,13 +160,15 @@ def _bad_token_error(lineno, parts):
             return ParseError(lineno, f"non-finite value {tok!r}")
 
 
-def _non_ascii_error(path, csv_lines=False, otherwise=None):
-    """ParseError naming the line of a file's first non-ASCII byte, lines ending as in
-    ``str.splitlines``, or with ``csv_lines`` only at \\r, \\n, \\r\\n as in csv.reader.
-    If every byte is ASCII: ``otherwise``, or an error saying the file changed."""
+def _non_ascii_error(fh, csv_lines=False, otherwise=None):
+    """ParseError naming the line of the first non-ASCII byte of the binary file ``fh``,
+    read again from its start, lines ending as in ``str.splitlines``, or with ``csv_lines``
+    only at \\r, \\n, \\r\\n as in csv.reader.  If every byte is ASCII, or ``fh`` cannot
+    be read again (a pipe): ``otherwise``, or an error saying the file changed."""
     split = bytes.splitlines if csv_lines else lambda b: b.decode("ascii").splitlines()
     line = 1
-    with open(path, "rb") as fh:
+    if fh.seekable():
+        fh.seek(0)
         for piece in fh:  # pieces end at \n, so none splits a \r\n
             try:
                 piece.decode("ascii")

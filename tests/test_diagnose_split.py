@@ -1,12 +1,14 @@
-"""diagnose's split row: from n = _SPLIT_MIN_N a forked child computes part of
-the row, and every bit of the row, its error included, is that of the row
+"""diagnose's split row: from n = _SPLIT_MIN_N forked children compute part of
+the row, in one round of _forked jobs below n = _ROUNDS_MIN_N and in two from
+it, and every bit of the row, its error included, is that of the row
 computed in one process.
 
 As in ``test_sweep_workers.py``, the affinity mask is patched to one CPU to
 keep a row in this process and to two to split it, and the thread probe is
 taken as single-threaded, since this test process may run a BLAS thread
 pool.  Which process ran which steps is read from a log that each call of
-``_run_steps`` appends to, in whichever process it runs.
+``_run_steps`` appends to, in whichever process it runs, and which process
+factored, from a log of the factor kernels' calls.
 """
 
 import math
@@ -16,15 +18,22 @@ import threading
 import numpy as np
 import pytest
 
-from sympllt import diagnostics, workers
+from sympllt import diagnostics, factor, workers
 from sympllt.errors import InvalidEntryError
 from sympllt.symplectic import BlockPartition
 from sympllt.testmat import random_pdp
-from support import forkable, no_child_left, row_fields, set_cpus
+from support import forkable, no_child_left, rebind, row_fields, set_cpus
 
 N = diagnostics._SPLIT_MIN_N
+ROUNDS_N = diagnostics._ROUNDS_MIN_N
 ALL_STEPS = diagnostics._ALL_STEPS
 CHILD_STEPS = diagnostics._CHILD_STEPS
+BLOCKS = {"l11", "l21", "schur", "_w2_l22", "gram", "l11_inv_t", "omega11"}
+# a split row's rounds, each as (this process's job, the child's job)
+ONE_ROUND = [(ALL_STEPS - CHILD_STEPS, CHILD_STEPS)]
+TWO_ROUNDS = [(BLOCKS, {"omega_A", "kappa2_A11", "norm2_A11"}),
+              ({"kappa2_A", "relerr_w2", "omega_L2"},
+               {"norm2_invA11", "dist_sympl", "dist_sympl_rel", "relerr_w1", "omega_L1"})]
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
 
 
@@ -61,10 +70,17 @@ def split_row(monkeypatch, a):
     return diagnostics.diagnose(a, "file", 0.0)
 
 
-def assert_split(runs, parent):
-    # the parent's share here, the child's in one other process, and nothing left running
-    (_, names), = [(pid, names) for pid, names in runs if pid != parent]
-    assert (parent, ALL_STEPS - CHILD_STEPS) in runs and names == CHILD_STEPS
+def rounds(n):
+    return TWO_ROUNDS if n >= ROUNDS_N else ONE_ROUND
+
+
+def assert_split(runs, parent, n=N):
+    # each round's first job here and its second in a child forked for that
+    # round, in round order, and nothing left running
+    children = [(pid, names) for pid, names in runs if pid != parent]
+    assert [names for pid, names in runs if pid == parent] == [here for here, _ in rounds(n)]
+    assert [names for _, names in children] == [there for _, there in rounds(n)]
+    assert len({pid for pid, _ in children}) == len(rounds(n))
     assert no_child_left()
 
 
@@ -93,27 +109,34 @@ def test_split_rows_equal_one_process_rows_bitwise(monkeypatch, steps_run, n, se
     assert steps_run() == [(os.getpid(), ALL_STEPS)]
     threads, tasks = threading.active_count(), len(os.listdir("/proc/self/task"))
     row = split_row(monkeypatch, a)
-    assert_split(steps_run(), os.getpid())
+    assert_split(steps_run(), os.getpid(), n)
     assert row.ok and row_fields(row) == row_fields(expected)
     assert threading.active_count() == threads and len(os.listdir("/proc/self/task")) == tasks
 
 
 # each error row's NaN fields: a field is NaN only if its own getter raised
-@pytest.mark.parametrize("make, error, nans", [
-    # the child's W2 fields fail; the caller's W1 fields reach the row only by the union
-    (non_pd_schur, "during schur-complement reverse-cholesky", {"relerr_w2", "omega_L2"}),
-    (singular_leading_block, "condition_number: zero eigenvalue",
+ERROR_ROWS = [
+    # W2's fields fail; W1's, from the other process, reach the row only by the union
+    ("non-pd-schur", non_pd_schur, "during schur-complement reverse-cholesky",
+     {"relerr_w2", "omega_L2"}),
+    ("singular-leading-block", singular_leading_block, "condition_number: zero eigenvalue",
      {"kappa2_A11", "norm2_invA11", "dist_sympl", "dist_sympl_rel", "relerr_w1", "relerr_w2",
       "omega_L1", "omega_L2"}),
-    (overflowing, "a computed quantity overflowed to a non-finite value", {"omega_A"}),
-], ids=["non-pd-schur", "singular-leading-block", "overflow"])
-def test_split_error_rows_equal_one_process_rows_bitwise(monkeypatch, steps_run, make, error,
+    ("overflow", overflowing, "a computed quantity overflowed to a non-finite value",
+     {"omega_A"}),
+]
+
+
+@pytest.mark.parametrize("n, make, error, nans", [
+    pytest.param(n, make, error, nans, id=name + suffix)
+    for n, suffix in [(N, ""), (2 * N, "-two-rounds")] for name, make, error, nans in ERROR_ROWS])
+def test_split_error_rows_equal_one_process_rows_bitwise(monkeypatch, steps_run, n, make, error,
                                                          nans):
-    a = make(N)
+    a = make(n)
     expected = one_process_row(monkeypatch, a)
     steps_run()
     row = split_row(monkeypatch, a)
-    assert_split(steps_run(), os.getpid())
+    assert_split(steps_run(), os.getpid(), n)
     assert error in row.error
     assert {name for name in diagnostics.TABLE_QUANTITIES if math.isnan(getattr(row, name))} == nans
     assert math.isfinite(row.norm2_A) and math.isfinite(row.norm2_A11)
@@ -157,8 +180,6 @@ def test_the_caller_forms_no_inverse_of_a11_in_a_split_row(monkeypatch, steps_ru
 
 
 def test_a_child_that_dies_leaves_its_steps_to_the_parent(monkeypatch, steps_run):
-    a = random_pdp(N, 8).assemble()
-    expected = one_process_row(monkeypatch, a)
     parent, logged = os.getpid(), diagnostics._run_steps
 
     def dying(p, names):
@@ -167,11 +188,14 @@ def test_a_child_that_dies_leaves_its_steps_to_the_parent(monkeypatch, steps_run
         return logged(p, names)
 
     monkeypatch.setattr(diagnostics, "_run_steps", dying)
-    steps_run()
-    row = split_row(monkeypatch, a)
-    # the parent ran its own share, then the child's
-    assert steps_run() == [(parent, ALL_STEPS - CHILD_STEPS), (parent, CHILD_STEPS)]
-    assert row_fields(row) == row_fields(expected)
+    for n in (N, 2 * N):
+        a = random_pdp(n, 8).assemble()
+        expected = one_process_row(monkeypatch, a)
+        steps_run()
+        row = split_row(monkeypatch, a)
+        # in each round the parent ran its own share, then the child's
+        assert steps_run() == [(parent, names) for jobs in rounds(n) for names in jobs]
+        assert row_fields(row) == row_fields(expected)
 
 
 def test_an_interrupted_parent_reaps_its_child(monkeypatch, steps_run):
@@ -227,3 +251,55 @@ def test_another_thread_keeps_a_row_in_one_process(monkeypatch, steps_run):
         other.join(timeout=10)
     assert not other.is_alive()
     assert steps_run() == [(os.getpid(), ALL_STEPS)]
+
+
+@pytest.fixture
+def factored(tmp_path, monkeypatch):
+    """A function returning the (pid, kernel name) of each cholesky_lower and
+    forward_substitute call since it was last called, in call order.  Each
+    kernel is logged wherever a sympllt module bound it, so reverse_cholesky_upper's
+    call of cholesky_lower is logged too."""
+    log = tmp_path / "factor.log"
+
+    def logging(kernel):
+        def logged(*args, **kwargs):
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()} {kernel.__name__}\n")
+            return kernel(*args, **kwargs)
+        return logged
+
+    for kernel in (factor.cholesky_lower, factor.forward_substitute):
+        rebind(monkeypatch, kernel, logging(kernel), needed=["sympllt.factor", "sympllt.symplectic"])
+
+    def read():
+        words = log.read_text(encoding="ascii").split() if log.exists() else []
+        log.unlink(missing_ok=True)
+        return [(int(pid), name) for pid, name in zip(words[::2], words[1::2])]
+
+    return read
+
+
+def test_a_two_round_row_forms_each_shared_block_once(monkeypatch, steps_run, factored):
+    # from _ROUNDS_MIN_N this process forms l11, l21, l11^-T and W2's l22 once
+    # each, as the whole row does in one process, and no child factors or
+    # substitutes; below it the child forms again the blocks it reads
+    assert N < ROUNDS_N <= 2 * N  # the cases at N take one round, those at 2 N two
+    parent = os.getpid()
+    for n in (ROUNDS_N, ROUNDS_N - 1):
+        a = random_pdp(n, 12).assemble()
+        factored()
+        expected = one_process_row(monkeypatch, a)
+        calls = sorted(factored())
+        assert calls == [(parent, "cholesky_lower")] * 2 + [(parent, "forward_substitute")] * 2
+        steps_run()
+        p = BlockPartition.from_matrix(a)
+        row = split_row(monkeypatch, p)
+        assert_split(steps_run(), parent, n)
+        assert row.ok and row_fields(row) == row_fields(expected)
+        if n >= ROUNDS_N:
+            assert sorted(factored()) == calls
+            # the blocks stay here; inv(a11) and drift were formed in the child alone
+            assert BLOCKS <= vars(p).keys() and not {"inv_a11", "drift"} & vars(p).keys()
+        else:
+            assert {name for pid, name in factored() if pid != parent} == {
+                "cholesky_lower", "forward_substitute"}

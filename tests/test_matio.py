@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sympllt import DimensionError, InvalidEntryError, ParseError, read_matrix, write_matrix
+from sympllt import DimensionError, InvalidEntryError, ParseError, matio, read_matrix, write_matrix
 from sympllt.testmat import minij, random_pdp, standard_normal_matrix, hyperbolic_spd
 
 
@@ -123,6 +123,29 @@ def test_non_ascii_byte_names_its_line(tmp_path, content, line):
     with pytest.raises(ParseError) as err:
         read_matrix(path)
     assert err.value.line == line and "non-ASCII byte" in str(err.value)
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"2 2\n1 0\nx 1\n", "line 3: bad float literal 'x'"),
+    # the bad byte lies past the decoder's first block, so the header parses
+    # and the byte is met while the rows are parsed
+    (b"2 2\n1" + b" " * 9000 + b" 0\n\xc3\xa9 1\n", "line 3: non-ASCII byte 0xc3"),
+], ids=["bad-float", "non-ascii"])
+def test_a_file_unlinked_during_the_read_raises_its_parse_error(tmp_path, monkeypatch, content,
+                                                                 message):
+    # the rescan for a non-ASCII byte reads the file read_matrix holds, not its path
+    path = tmp_path / "bad.mat"
+    path.write_bytes(content)
+    real = matio._forked
+
+    def unlinked_first(jobs):
+        path.unlink()
+        return real(jobs)
+
+    monkeypatch.setattr(matio, "_forked", unlinked_first)
+    with pytest.raises(ParseError) as err:
+        read_matrix(path)
+    assert str(err.value) == message and not path.exists()
 
 
 @pytest.mark.parametrize("a, error", [
