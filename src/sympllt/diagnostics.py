@@ -91,27 +91,21 @@ _STEPS = (
     ("omega_L2", lambda p: spectral_norm(p.w2.omega())),
 )
 _ALL_STEPS = {name for name, _ in _STEPS}
-# The cached factor blocks of BlockPartition that a two-round row forms in
-# this process for both rounds' fields, in the order a job forms them.
+# The cached factor blocks of BlockPartition that a split row forms in this
+# process for both rounds' fields, in the order a job forms them.
 _BLOCKS = ("l11", "l21", "omega11", "l11_inv_t", "schur", "_w2_l22", "gram")
-# A split row's schedule: rounds of _forked jobs, each job the names of the
-# blocks and steps it computes, the first job here and the second in a child
-# forked for its round.  From _SPLIT_MIN_N (BENCH_24.json), one round: the
-# child takes omega_A, the largest step, which needs no factor, and A11's and
-# W1's inverse-based fields, so both take about as long (BENCH_28.json), and
-# each forms the blocks it reads.  From _ROUNDS_MIN_N, where a second fork
-# costs less than forming them twice (BENCH_30.json), two rounds: the blocks
-# here while a child computes the factor-free fields, then W2's fields here
-# while a child forked from the cached blocks computes the others.  This
-# process holds no inv(a11) or drift while it forms omega11, the row's
-# memory peak (a cut that left them to it peaked above the whole row).
-_CHILD_STEPS = {"omega_A", "norm2_A11", "kappa2_A11", "norm2_invA11", "dist_sympl",
-                "dist_sympl_rel", "omega_L1"}
-_SPLIT_MIN_N, _ROUNDS_MIN_N = 96, 144
-_ONE_ROUND = [[_ALL_STEPS - _CHILD_STEPS, _CHILD_STEPS]]
-_TWO_ROUNDS = [[set(_BLOCKS), {"omega_A", "kappa2_A11", "norm2_A11"}],
-               [{"kappa2_A", "relerr_w2", "omega_L2"},
-                {"norm2_invA11", "dist_sympl", "dist_sympl_rel", "relerr_w1", "omega_L1"}]]
+# From _SPLIT_MIN_N (BENCH_24.json) a row is split as rounds of _forked jobs,
+# each job the names of the blocks and steps it computes, the first job here
+# and the second in a child forked for its round, so that each block is
+# formed once (BENCH_30.json): the blocks here while a child computes the
+# factor-free fields, then W2's fields here while a child forked from the
+# cached blocks computes the others.  This process holds no inv(a11) or
+# drift while it forms omega11, the row's memory peak (a cut that left them
+# to it peaked above the whole row).
+_SPLIT_MIN_N = 96
+_ROUNDS = [[set(_BLOCKS), {"omega_A", "kappa2_A11", "norm2_A11"}],
+           [{"kappa2_A", "relerr_w2", "omega_L2"},
+            {"norm2_invA11", "dist_sympl", "dist_sympl_rel", "relerr_w1", "omega_L1"}]]
 
 
 def diagnose(a, family="custom", param=0.0):
@@ -124,14 +118,12 @@ def diagnose(a, family="custom", param=0.0):
     A NaN or infinite input raises InvalidEntryError, before any fork.
 
     From n = _SPLIT_MIN_N, if _fork_cpus() > 1, forked children compute
-    part of the row bit for bit (_forked).  Below _ROUNDS_MIN_N one child
-    computes ||omega(A)||, A11's fields and W1's inverse-based fields
-    (_ONE_ROUND).  From it a first child computes ||omega(A)||, ||A11|| and
-    kappa(A11) while this process forms the factor blocks; then a second,
-    forked from them, computes W1's fields, ||inv(A11)|| and the distance to
-    symplecticity while this process computes kappa(A) and W2's fields
-    (_TWO_ROUNDS).  ``taskset -c 0`` keeps the row here.  ``ru_maxrss`` and
-    a profiler see only this process's share.
+    part of the row bit for bit in two rounds (_ROUNDS, _forked).  A first
+    child computes ||omega(A)||, ||A11|| and kappa(A11) while this process
+    forms the factor blocks; then a second, forked from them, computes W1's
+    fields, ||inv(A11)|| and the distance to symplecticity while this
+    process computes kappa(A) and W2's fields.  ``taskset -c 0`` keeps the
+    row here.  ``ru_maxrss`` and a profiler see only this process's share.
     """
     # an overflow ends up in the row's error, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -143,9 +135,8 @@ def diagnose(a, family="custom", param=0.0):
             "n": p.n,
             "norm2_A": p.norm,
         }
-        rounds = [[_ALL_STEPS]]
-        if p.n >= _SPLIT_MIN_N and _fork_cpus() > 1:
-            rounds = _TWO_ROUNDS if p.n >= _ROUNDS_MIN_N else _ONE_ROUND
+        split = p.n >= _SPLIT_MIN_N and _fork_cpus() > 1
+        rounds = _ROUNDS if split else [[_ALL_STEPS]]
         shares = [share for jobs in rounds
                   for share in _forked([partial(_run_steps, p, names) for names in jobs])]
         for done, _ in shares:

@@ -1,7 +1,6 @@
 """diagnose's split row: from n = _SPLIT_MIN_N forked children compute part of
-the row, in one round of _forked jobs below n = _ROUNDS_MIN_N and in two from
-it, and every bit of the row, its error included, is that of the row
-computed in one process.
+the row, in two rounds of _forked jobs, and every bit of the row, its error
+included, is that of the row computed in one process.
 
 As in ``test_sweep_workers.py``, the affinity mask is patched to one CPU to
 keep a row in this process and to two to split it, and the thread probe is
@@ -25,15 +24,12 @@ from sympllt.testmat import random_pdp
 from support import forkable, no_child_left, rebind, row_fields, set_cpus
 
 N = diagnostics._SPLIT_MIN_N
-ROUNDS_N = diagnostics._ROUNDS_MIN_N
 ALL_STEPS = diagnostics._ALL_STEPS
-CHILD_STEPS = diagnostics._CHILD_STEPS
 BLOCKS = {"l11", "l21", "schur", "_w2_l22", "gram", "l11_inv_t", "omega11"}
 # a split row's rounds, each as (this process's job, the child's job)
-ONE_ROUND = [(ALL_STEPS - CHILD_STEPS, CHILD_STEPS)]
-TWO_ROUNDS = [(BLOCKS, {"omega_A", "kappa2_A11", "norm2_A11"}),
-              ({"kappa2_A", "relerr_w2", "omega_L2"},
-               {"norm2_invA11", "dist_sympl", "dist_sympl_rel", "relerr_w1", "omega_L1"})]
+ROUNDS = [(BLOCKS, {"omega_A", "kappa2_A11", "norm2_A11"}),
+          ({"kappa2_A", "relerr_w2", "omega_L2"},
+           {"norm2_invA11", "dist_sympl", "dist_sympl_rel", "relerr_w1", "omega_L1"})]
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
 
 
@@ -70,17 +66,13 @@ def split_row(monkeypatch, a):
     return diagnostics.diagnose(a, "file", 0.0)
 
 
-def rounds(n):
-    return TWO_ROUNDS if n >= ROUNDS_N else ONE_ROUND
-
-
-def assert_split(runs, parent, n=N):
+def assert_split(runs, parent, rounds=ROUNDS):
     # each round's first job here and its second in a child forked for that
     # round, in round order, and nothing left running
     children = [(pid, names) for pid, names in runs if pid != parent]
-    assert [names for pid, names in runs if pid == parent] == [here for here, _ in rounds(n)]
-    assert [names for _, names in children] == [there for _, there in rounds(n)]
-    assert len({pid for pid, _ in children}) == len(rounds(n))
+    assert [names for pid, names in runs if pid == parent] == [here for here, _ in rounds]
+    assert [names for _, names in children] == [there for _, there in rounds]
+    assert len({pid for pid, _ in children}) == len(rounds)
     assert no_child_left()
 
 
@@ -109,34 +101,27 @@ def test_split_rows_equal_one_process_rows_bitwise(monkeypatch, steps_run, n, se
     assert steps_run() == [(os.getpid(), ALL_STEPS)]
     threads, tasks = threading.active_count(), len(os.listdir("/proc/self/task"))
     row = split_row(monkeypatch, a)
-    assert_split(steps_run(), os.getpid(), n)
+    assert_split(steps_run(), os.getpid())
     assert row.ok and row_fields(row) == row_fields(expected)
     assert threading.active_count() == threads and len(os.listdir("/proc/self/task")) == tasks
 
 
 # each error row's NaN fields: a field is NaN only if its own getter raised
-ERROR_ROWS = [
+@pytest.mark.parametrize("make, error, nans", [
     # W2's fields fail; W1's, from the other process, reach the row only by the union
-    ("non-pd-schur", non_pd_schur, "during schur-complement reverse-cholesky",
-     {"relerr_w2", "omega_L2"}),
-    ("singular-leading-block", singular_leading_block, "condition_number: zero eigenvalue",
+    (non_pd_schur, "during schur-complement reverse-cholesky", {"relerr_w2", "omega_L2"}),
+    (singular_leading_block, "condition_number: zero eigenvalue",
      {"kappa2_A11", "norm2_invA11", "dist_sympl", "dist_sympl_rel", "relerr_w1", "relerr_w2",
       "omega_L1", "omega_L2"}),
-    ("overflow", overflowing, "a computed quantity overflowed to a non-finite value",
-     {"omega_A"}),
-]
-
-
-@pytest.mark.parametrize("n, make, error, nans", [
-    pytest.param(n, make, error, nans, id=name + suffix)
-    for n, suffix in [(N, ""), (2 * N, "-two-rounds")] for name, make, error, nans in ERROR_ROWS])
-def test_split_error_rows_equal_one_process_rows_bitwise(monkeypatch, steps_run, n, make, error,
+    (overflowing, "a computed quantity overflowed to a non-finite value", {"omega_A"}),
+], ids=["non-pd-schur", "singular-leading-block", "overflow"])
+def test_split_error_rows_equal_one_process_rows_bitwise(monkeypatch, steps_run, make, error,
                                                          nans):
-    a = make(n)
+    a = make(N)
     expected = one_process_row(monkeypatch, a)
     steps_run()
     row = split_row(monkeypatch, a)
-    assert_split(steps_run(), os.getpid(), n)
+    assert_split(steps_run(), os.getpid())
     assert error in row.error
     assert {name for name in diagnostics.TABLE_QUANTITIES if math.isnan(getattr(row, name))} == nans
     assert math.isfinite(row.norm2_A) and math.isfinite(row.norm2_A11)
@@ -180,6 +165,8 @@ def test_the_caller_forms_no_inverse_of_a11_in_a_split_row(monkeypatch, steps_ru
 
 
 def test_a_child_that_dies_leaves_its_steps_to_the_parent(monkeypatch, steps_run):
+    a = random_pdp(N, 8).assemble()
+    expected = one_process_row(monkeypatch, a)
     parent, logged = os.getpid(), diagnostics._run_steps
 
     def dying(p, names):
@@ -188,14 +175,11 @@ def test_a_child_that_dies_leaves_its_steps_to_the_parent(monkeypatch, steps_run
         return logged(p, names)
 
     monkeypatch.setattr(diagnostics, "_run_steps", dying)
-    for n in (N, 2 * N):
-        a = random_pdp(n, 8).assemble()
-        expected = one_process_row(monkeypatch, a)
-        steps_run()
-        row = split_row(monkeypatch, a)
-        # in each round the parent ran its own share, then the child's
-        assert steps_run() == [(parent, names) for jobs in rounds(n) for names in jobs]
-        assert row_fields(row) == row_fields(expected)
+    steps_run()
+    row = split_row(monkeypatch, a)
+    # in each round the parent ran its own share, then the child's
+    assert steps_run() == [(parent, names) for jobs in ROUNDS for names in jobs]
+    assert row_fields(row) == row_fields(expected)
 
 
 def test_an_interrupted_parent_reaps_its_child(monkeypatch, steps_run):
@@ -210,7 +194,8 @@ def test_an_interrupted_parent_reaps_its_child(monkeypatch, steps_run):
     monkeypatch.setattr(diagnostics, "_run_steps", interrupted)
     with pytest.raises(KeyboardInterrupt):
         split_row(monkeypatch, random_pdp(N, 9).assemble())
-    assert_split(steps_run(), parent)
+    # the interrupt ends the row in its first round
+    assert_split(steps_run(), parent, ROUNDS[:1])
 
 
 def test_sweep_and_table_rows_are_never_split(monkeypatch, steps_run):
@@ -279,27 +264,20 @@ def factored(tmp_path, monkeypatch):
     return read
 
 
-def test_a_two_round_row_forms_each_shared_block_once(monkeypatch, steps_run, factored):
-    # from _ROUNDS_MIN_N this process forms l11, l21, l11^-T and W2's l22 once
-    # each, as the whole row does in one process, and no child factors or
-    # substitutes; below it the child forms again the blocks it reads
-    assert N < ROUNDS_N <= 2 * N  # the cases at N take one round, those at 2 N two
+def test_a_split_row_forms_each_shared_block_once(monkeypatch, steps_run, factored):
+    # this process forms l11, l21, l11^-T and W2's l22 once each, as the
+    # whole row does in one process, and no child factors or substitutes
     parent = os.getpid()
-    for n in (ROUNDS_N, ROUNDS_N - 1):
-        a = random_pdp(n, 12).assemble()
-        factored()
-        expected = one_process_row(monkeypatch, a)
-        calls = sorted(factored())
-        assert calls == [(parent, "cholesky_lower")] * 2 + [(parent, "forward_substitute")] * 2
-        steps_run()
-        p = BlockPartition.from_matrix(a)
-        row = split_row(monkeypatch, p)
-        assert_split(steps_run(), parent, n)
-        assert row.ok and row_fields(row) == row_fields(expected)
-        if n >= ROUNDS_N:
-            assert sorted(factored()) == calls
-            # the blocks stay here; inv(a11) and drift were formed in the child alone
-            assert BLOCKS <= vars(p).keys() and not {"inv_a11", "drift"} & vars(p).keys()
-        else:
-            assert {name for pid, name in factored() if pid != parent} == {
-                "cholesky_lower", "forward_substitute"}
+    a = random_pdp(N, 12).assemble()
+    factored()
+    expected = one_process_row(monkeypatch, a)
+    calls = sorted(factored())
+    assert calls == [(parent, "cholesky_lower")] * 2 + [(parent, "forward_substitute")] * 2
+    steps_run()
+    p = BlockPartition.from_matrix(a)
+    row = split_row(monkeypatch, p)
+    assert_split(steps_run(), parent)
+    assert row.ok and row_fields(row) == row_fields(expected)
+    assert sorted(factored()) == calls
+    # the blocks stay here; inv(a11) and drift were formed in the child alone
+    assert BLOCKS <= vars(p).keys() and not {"inv_a11", "drift"} & vars(p).keys()

@@ -52,11 +52,6 @@ COMMANDS = [
                                "non-pd-schur.csv"], ["non-pd-schur.csv"]),
     ("diagnose-crlf", ["diagnose", "--in", "crlf.mat", "--csv", "crlf.csv"], ["crlf.csv"]),
     ("diagnose-mixed-ends", ["diagnose", "--in", "mixed-ends.mat"], []),
-    # an order-200 row splits in one round of processes, the order-400 rows above in two
-    ("gen-100", ["gen", "--family", "random", "--n", "100", "--out", "random-100.mat"],
-     ["random-100.mat"]),
-    ("diagnose-100", ["diagnose", "--in", "random-100.mat", "--csv", "diagnose-100.csv"],
-     ["diagnose-100.csv"]),
 ]
 BAD_ROW = 300  # the data row of bad-row.mat whose first value is not a float literal
 
