@@ -8,18 +8,15 @@ write -> read is lossless.
 """
 
 import itertools
-import os
-import stat
-from functools import partial
+from contextlib import suppress
 
 import numpy as np
 
 from .dense import as_matrix
 from .errors import DimensionError, InvalidEntryError, ParseError
-from .workers import _fork_cpus, _forked
 
-# the least file size at which a split parse gained in measured pairs
-_SPLIT_MIN_BYTES = 2 ** 19
+# lines per np.loadtxt call: 50 parsed slower, 200 raised the peak memory
+_BLOCK = 100
 
 
 def write_matrix(path, a):
@@ -42,45 +39,30 @@ def write_matrix(path, a):
 def read_matrix(path):
     """Read a matrix written by ``write_matrix`` (or by hand in that format).
 
-    The file is read a line at a time, lines ending where ``str.splitlines``
-    ends them (\\n, \\r, \\r\\n, \\v, \\f and \\x1c-\\x1e), and only the rows
-    parsed so far are held.  Raises ParseError with a 1-based line number.
-    A byte that is not ASCII is reported wherever it lies, even after a line
-    with another problem; otherwise the first problem is: a missing or
-    malformed header, a row with the wrong number of values, a bad or
-    non-finite float literal (Python's '_' digit separators are not part of
-    the format), missing rows, or a non-blank line after the last data row
-    (extra rows are rejected, not ignored).
+    The file is read _BLOCK lines at a time, lines ending where
+    ``str.splitlines`` ends them (\\n, \\r, \\r\\n, \\v, \\f and \\x1c-\\x1e),
+    and only those lines and the rows parsed so far are held.  Raises
+    ParseError with a 1-based line number.  A byte that is not ASCII is
+    reported wherever it lies, even after a line with another problem;
+    otherwise the first problem is: a missing or malformed header, a row with
+    the wrong number of values, a bad or non-finite float literal (Python's
+    '_' digit separators are not part of the format), missing rows, or a
+    non-blank line after the last data row (extra rows are rejected, not
+    ignored).
 
-    A regular file of at least _SPLIT_MIN_BYTES, if _fork_cpus() > 1, is
-    parsed in two parts: this process parses the first 52% of the rows
-    while a forked child opens the file this process holds (not its path),
-    passes over the lines before its rows and parses the rest (_forked).
-    The array and every error are those of one process; a pipe, or
-    ``taskset -c 0``, keeps the parse here.  ``ru_maxrss`` and a profiler
-    see only this process's part.
+    The parse runs in this process and never forks.  Each block goes through
+    numpy's C ``np.loadtxt`` or, with the same result, a line loop (_parse_block).
     """
     with open(path, "r", encoding="ascii", newline="") as fh:
         try:
             lines = _lines(fh)
-            k, rows, cols = _parse_header(lines)
-            st = os.fstat(fh.fileno())  # a child cannot open a pipe's data again
-            split = (stat.S_ISREG(st.st_mode) and st.st_size >= _SPLIT_MIN_BYTES
-                     and rows > 1 and _fork_cpus() > 1)
-            # the child starts later, by its fork and its pass over the lines
-            # before its rows, so it takes 2% of the rows fewer than a half
-            mid = rows * 52 // 100 if split else rows
-            jobs = [partial(_parse_rows, lines, k, rows, cols, 0, mid)]
-            if split:
-                jobs.append(partial(_reparse_rows, fh.fileno(), k, rows, cols, mid))
-            parts = _forked(jobs)
+            return _parse_rows(lines, *_parse_header(lines))
         except UnicodeDecodeError:
             raise _non_ascii_error(fh.buffer) from None
         except ParseError as exc:
             # the decoder checks one block of the file at a time, so a non-ASCII
             # byte further on may not have been read yet
             raise _non_ascii_error(fh.buffer, otherwise=exc) from None
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _lines(fh):
@@ -110,45 +92,44 @@ def _parse_header(lines):
     return k, rows, cols
 
 
-def _reparse_rows(fd, k, rows, cols, lo):
-    # _parse_rows from row lo to the end of the file open as fd in the caller.
-    # /proc/self/fd/<fd> opens that same file with an offset of its own (a
-    # forked child shares the caller's), also if its path was replaced or
-    # unlinked; a split runs only where _single_threaded listed /proc/self/task
-    with open(f"/proc/self/fd/{fd}", "r", encoding="ascii", newline="") as fh:
-        return _parse_rows(itertools.islice(_lines(fh), k + lo, None), k, rows, cols, lo, rows)
+def _parse_rows(lines, k, rows, cols):
+    # the data rows of a header on line k, then no non-blank line.  Grown by
+    # blocks: a header claiming more than the file holds allocates nothing
+    parts = [_parse_block(lines, lineno, min(_BLOCK, k + 1 + rows - lineno), rows, cols)
+             for lineno in range(k + 1, k + 1 + rows, _BLOCK)]
+    for lineno, line in enumerate(lines, start=k + 1 + rows):
+        if line.strip():
+            raise ParseError(lineno, f"extra data after the {rows} declared rows")
+    return np.concatenate(parts)
 
 
-def _parse_rows(lines, k, rows, cols, lo, hi):
-    # data rows lo..hi-1 of a header on line k, ``lines`` at row lo's line; the
-    # last range also rejects a non-blank line after the declared rows.  Grown
-    # row by row: a header claiming more than the file holds allocates nothing
+def _parse_block(lines, first, want, rows, cols):
+    # the next ``want`` data rows, the first on line ``first``.  np.loadtxt
+    # skips blank lines (and warns if it finds only those) and takes no '_':
+    # its array is kept where the line loop's would be the same, and the
+    # line loop, which raises each line's ParseError, reads any other block
+    block = list(itertools.islice(lines, want))
+    if block and block[0].strip() and not any("_" in line for line in block):
+        with suppress(ValueError):
+            a = np.loadtxt(block, ndmin=2, comments=None)
+            if a.shape == (want, cols) and np.isfinite(a).all():
+                return a
     out = []
-    for lineno in range(k + 1 + lo, k + 1 + hi):
-        line = next(lines, None)
-        if line is None:
-            raise ParseError(lineno, f"expected {rows} data rows, file ended early")
+    for lineno, line in enumerate(block, start=first):
         parts = line.split()
         if len(parts) != cols:
             raise ParseError(lineno, f"expected {cols} values, got {len(parts)}")
-        try:
-            if "_" in line:
-                raise ValueError
-            out.append(np.array(parts, dtype=np.float64))  # float()'s bits and errors
-            finite = np.isfinite(out[-1]).all()
-        except ValueError:
-            finite = False
-        if not finite:
-            raise _bad_token_error(lineno, parts)
-    if hi == rows:
-        for lineno, line in enumerate(lines, start=k + 1 + rows):
-            if line.strip():
-                raise ParseError(lineno, f"extra data after the {rows} declared rows")
+        if error := _bad_token_error(lineno, parts):
+            raise error
+        out.append(np.array(parts, dtype=np.float64))  # float()'s bits
+    if len(block) < want:
+        raise ParseError(first + len(block), f"expected {rows} data rows, file ended early")
     return np.array(out)
 
 
 def _bad_token_error(lineno, parts):
-    """ParseError naming the first token of a row that is not a finite float."""
+    """ParseError naming the first token of a row that is not a finite float,
+    or None if every token is one."""
     for tok in parts:
         try:
             if "_" in tok:

@@ -9,7 +9,7 @@ import pytest
 import sympllt
 from sympllt import diagnostics, matio
 from sympllt.cli import _build_parser, main
-from sympllt.testmat import minij, hyperbolic_spd
+from sympllt.testmat import minij, hyperbolic_spd, random_pdp
 
 
 def test_gen_and_read_back(tmp_path):
@@ -433,3 +433,19 @@ def test_dangling_symlink_output(tmp_path, bad, good):
     # a good run writes through the link
     assert main([*good, str(link)]) == 0
     assert target.stat().st_size > 0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_diagnose_reads_an_order_400_file_from_a_pipe(tmp_path):
+    # a pipe cannot be read again, so its rows are parsed as they arrive;
+    # the row itself may split over forked children either way
+    path = tmp_path / "a.mat"
+    matio.write_matrix(path, random_pdp(200, 1).assemble())
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(sympllt.__file__)))
+    env = dict(os.environ, PYTHONPATH=package_root, OPENBLAS_NUM_THREADS="1")
+    cli = [sys.executable, "-m", "sympllt.cli", "diagnose", "--in"]
+    piped = subprocess.run(cli + ["/dev/stdin"], input=path.read_bytes(), capture_output=True,
+                           env=env, timeout=120)
+    from_file = subprocess.run(cli + [str(path)], capture_output=True, env=env, timeout=120)
+    assert piped.returncode == from_file.returncode == 0, piped.stderr
+    assert piped.stdout == from_file.stdout and b"file(0)" in piped.stdout

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -76,33 +78,43 @@ def test_scientific_notation_accepted(tmp_path):
     assert np.array_equal(read_matrix(path), np.array([[1000.0, -2.5e-4, 0.125]]))
 
 
-@pytest.mark.parametrize(
-    "content,line",
-    [
-        ("", 1),
-        ("2\n1 0\n0 1\n", 1),
-        ("a b\n", 1),
-        ("0 2\n", 1),
-        ("2 2\n1 0\n", 3),
-        ("2 2\n1 0 0\n0 1\n", 2),
-        ("1 2\n1 zebra\n", 2),
-        ("1 1\nnan\n", 2),
-        ("1 1\ninf\n", 2),
-        ("1 2\n1 inf zebra\n", 2),
-        ("2 2\n1 0\n0 1\n1 1\n", 4),
-        ("# c\n1 1\n5\n\n7\n", 5),
-        # headers that claim more rows or columns than the file holds
-        ("1000000000000 2\n1 2\n", 3),
-        ("1 1000000000000\n1 2\n", 2),
-        ("100000000 100000000\n1 2\n", 2),
-        # Python's digit separators, which float() and int() accept
-        ("1 1\n1_0\n", 2),
-        ("1_0 2\n1 2\n", 1),
-        ("1 1_0\n1 2\n", 1),
-        ("2 2\n1 0\n0 1_000\n", 3),
-        ("1 3\n1 2_5e3 3\n", 2),
-    ],
-)
+# (file, line of its ParseError); test_matio_equivalence.py reads these too
+MALFORMED = [
+    ("", 1),
+    ("2\n1 0\n0 1\n", 1),
+    ("a b\n", 1),
+    ("0 2\n", 1),
+    ("2 2\n1 0\n", 3),
+    ("2 2\n1 0 0\n0 1\n", 2),
+    ("1 2\n1 zebra\n", 2),
+    ("1 1\nnan\n", 2),
+    ("1 1\ninf\n", 2),
+    ("1 2\n1 inf zebra\n", 2),
+    ("2 2\n1 0\n0 1\n1 1\n", 4),
+    ("# c\n1 1\n5\n\n7\n", 5),
+    # headers that claim more rows or columns than the file holds
+    ("1000000000000 2\n1 2\n", 3),
+    ("1 1000000000000\n1 2\n", 2),
+    ("100000000 100000000\n1 2\n", 2),
+    # Python's digit separators, which float() and int() accept
+    ("1 1\n1_0\n", 2),
+    ("1_0 2\n1 2\n", 1),
+    ("1 1_0\n1 2\n", 1),
+    ("2 2\n1 0\n0 1_000\n", 3),
+    ("1 3\n1 2_5e3 3\n", 2),
+    # blank data rows, which np.loadtxt would skip
+    ("2 2\n\n\n", 2),
+    ("2 2\n1 0\n\n", 3),
+]
+NON_ASCII = [
+    (b"2 2\n1 0\n0 1\xe9\n", 3),
+    (b"\xe92 2\n", 1),
+    (b"# note\r\n2 2\r\n1 0\xff\r\n0 1\r\n", 3),
+    (b"2 2\r1 0\r0 \xc3\xa91\r", 3),
+]
+
+
+@pytest.mark.parametrize("content,line", MALFORMED)
 def test_malformed_inputs_report_line(tmp_path, content, line):
     path = tmp_path / "bad.mat"
     path.write_text(content)
@@ -111,12 +123,7 @@ def test_malformed_inputs_report_line(tmp_path, content, line):
     assert err.value.line == line
 
 
-@pytest.mark.parametrize("content,line", [
-    (b"2 2\n1 0\n0 1\xe9\n", 3),
-    (b"\xe92 2\n", 1),
-    (b"# note\r\n2 2\r\n1 0\xff\r\n0 1\r\n", 3),
-    (b"2 2\r1 0\r0 \xc3\xa91\r", 3),
-])
+@pytest.mark.parametrize("content,line", NON_ASCII)
 def test_non_ascii_byte_names_its_line(tmp_path, content, line):
     path = tmp_path / "latin.mat"
     path.write_bytes(content)
@@ -136,16 +143,29 @@ def test_a_file_unlinked_during_the_read_raises_its_parse_error(tmp_path, monkey
     # the rescan for a non-ASCII byte reads the file read_matrix holds, not its path
     path = tmp_path / "bad.mat"
     path.write_bytes(content)
-    real = matio._forked
+    real = matio._parse_rows
 
-    def unlinked_first(jobs):
+    def unlinked_first(*args):
         path.unlink()
-        return real(jobs)
+        return real(*args)
 
-    monkeypatch.setattr(matio, "_forked", unlinked_first)
+    monkeypatch.setattr(matio, "_parse_rows", unlinked_first)
     with pytest.raises(ParseError) as err:
         read_matrix(path)
     assert str(err.value) == message and not path.exists()
+
+
+@pytest.mark.parametrize("blank", [1, 101])
+def test_blank_data_rows_raise_without_a_warning(tmp_path, blank):
+    # data rows ``blank`` to 150 are blank, so one block of lines holds only
+    # blank ones, on which np.loadtxt would warn "input contained no data"
+    path = tmp_path / "blank.mat"
+    path.write_text("150 2\n" + "1 2\n" * (blank - 1) + "\n" * (151 - blank))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParseError) as err:
+            read_matrix(path)
+    assert str(err.value) == f"line {blank + 1}: expected 2 values, got 0" and caught == []
 
 
 @pytest.mark.parametrize("a, error", [

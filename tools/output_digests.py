@@ -58,7 +58,8 @@ BAD_ROW = 300  # the data row of bad-row.mat whose first value is not a float li
 
 def write_bad_row_copy():
     """bad-row.mat: random-200.mat with one token of data row BAD_ROW (1-based)
-    corrupted, a row that a matrix file's split parse reads in its child."""
+    corrupted, the last row of a block of lines that np.loadtxt rejects, so
+    that read_matrix's line loop reads the block and names the row."""
     lines = Path("random-200.mat").read_text(encoding="ascii").split("\n")
     lines[BAD_ROW] = "x" + lines[BAD_ROW]
     Path("bad-row.mat").write_text("\n".join(lines), encoding="ascii")
@@ -74,15 +75,16 @@ def write_non_pd_schur_copy():
 
 
 def write_crlf_copy():
-    """crlf.mat: random-200.mat with every line ended by \\r\\n, so that a
-    matrix file's split parse passes over CRLF lines to reach the child's rows."""
+    """crlf.mat: random-200.mat with every line ended by \\r\\n, which the line
+    rule takes off before a block of lines reaches np.loadtxt."""
     Path("crlf.mat").write_bytes(Path("random-200.mat").read_bytes().replace(b"\n", b"\r\n"))
 
 
 def write_mixed_ends_copy():
     """mixed-ends.mat: random-200.mat with its data rows ending in \\r, \\v, \\f,
     \\x1c, \\x1d and \\x1e in turn, every line end of a matrix file but \\n and
-    \\r\\n, so that a split parse's child passes over each to reach its rows."""
+    \\r\\n.  np.loadtxt would read all but \\r as spaces; the line rule
+    (str.splitlines) ends each line before a block of lines reaches it."""
     header, *rows = Path("random-200.mat").read_text(encoding="ascii").splitlines()
     ends = itertools.cycle("\r\v\f\x1c\x1d\x1e")
     text = header + "\n" + "".join(row + end for row, end in zip(rows, ends))
