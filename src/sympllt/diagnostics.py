@@ -11,8 +11,8 @@ import numpy as np
 
 from .checks import CheckSuiteReport, check_all_bounds
 from .dense import _is_int, spectral_norm
-from .errors import FactorError, InvalidEntryError, SingularError, UsageError
-from .matio import _non_ascii_error
+from .errors import FactorError, InvalidEntryError, ParseError, SingularError, UsageError
+from .matio import _read_lines
 from .symplectic import BlockPartition
 from .testmat import (PASCAL_MAX_N, RANDOM_MAX_N, diag_family, hyperbolic_spd,
                       hyperbolic_spd_inverse, minij, pascal_symplectic, random_pdp)
@@ -225,32 +225,38 @@ def write_csv(path, rows):
 
 
 def read_csv(path):
-    """The rows of a ``write_csv`` file, bitwise.  A non-ASCII byte, a wrong
-    or missing header, a record of the wrong length, or a field its type
-    cannot parse or that is not written as ``write_csv`` writes its value
-    raises UsageError naming the line."""
+    """The rows of a ``write_csv`` file, bitwise.  A non-ASCII byte, a wrong or
+    missing header, a record csv.reader rejects or of the wrong length, or a
+    field its type cannot parse or that is not written as ``write_csv`` writes
+    its value raises UsageError naming the line; a non-ASCII byte anywhere wins."""
+    try:
+        return _read_lines(path, _csv_rows, lambda line: [line])
+    except ParseError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _csv_rows(lines):
     rows = []
-    with open(path, newline="", encoding="ascii") as fh:
-        try:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            if header != CSV_COLUMNS:
-                raise UsageError(f"line 1: unexpected CSV header {header!r}")
-            for record in reader:
-                if len(record) != len(CSV_COLUMNS):
-                    raise UsageError(f"line {reader.line_num}: expected "
-                                     f"{len(CSV_COLUMNS)} fields, got {len(record)}")
-                try:
-                    row = DiagnosticsRow(*(f.type(v) for f, v in zip(_FIELDS, record)))
-                except ValueError as exc:
-                    raise UsageError(f"line {reader.line_num}: {exc}") from None
-                for name, got, want in zip(CSV_COLUMNS, record, _record(row)):
-                    if got != want:
-                        raise UsageError(f"line {reader.line_num}: {name} field "
-                                         f"{got!r} is not written as {want!r}")
-                rows.append(row)
-        except UnicodeDecodeError:
-            raise UsageError(str(_non_ascii_error(fh.buffer, csv_lines=True))) from None
+    reader = csv.reader(lines)
+    try:
+        header = next(reader, [])
+        if header != CSV_COLUMNS:
+            raise UsageError(f"line 1: unexpected CSV header {header!r}")
+        for record in reader:
+            if len(record) != len(CSV_COLUMNS):
+                raise UsageError(f"line {reader.line_num}: expected "
+                                 f"{len(CSV_COLUMNS)} fields, got {len(record)}")
+            try:
+                row = DiagnosticsRow(*(f.type(v) for f, v in zip(_FIELDS, record)))
+            except ValueError as exc:
+                raise UsageError(f"line {reader.line_num}: {exc}") from None
+            for name, got, want in zip(CSV_COLUMNS, record, _record(row)):
+                if got != want:
+                    raise UsageError(f"line {reader.line_num}: {name} field "
+                                     f"{got!r} is not written as {want!r}")
+            rows.append(row)
+    except csv.Error as exc:  # a field over csv.field_size_limit(); a NUL before Python 3.11
+        raise UsageError(f"line {reader.line_num}: {exc}") from None
     return rows
 
 

@@ -13,7 +13,7 @@ from contextlib import suppress
 import numpy as np
 
 from .dense import as_matrix
-from .errors import DimensionError, InvalidEntryError, ParseError
+from .errors import DimensionError, InvalidEntryError, ParseError, SympLLTError
 
 # lines per np.loadtxt call: 50 parsed slower, 200 raised the peak memory
 _BLOCK = 100
@@ -50,24 +50,35 @@ def read_matrix(path):
     non-blank line after the last data row (extra rows are rejected, not
     ignored).
 
-    The parse runs in this process and never forks.  Each block goes through
-    numpy's C ``np.loadtxt`` or, with the same result, a line loop (_parse_block).
+    The parse runs in this process, never forks and reads the file once.  Each
+    block goes through numpy's C ``np.loadtxt`` or, with the same result, a
+    line loop (_parse_block).
     """
-    with open(path, "r", encoding="ascii", newline="") as fh:
+    return _read_lines(path, lambda lines: _parse_rows(lines, *_parse_header(lines)))
+
+
+def _read_lines(path, parse, split=str.splitlines):
+    """``parse(lines)``: the lines of the file at ``path``, which open() with
+    newline="" ends at \\r, \\n and \\r\\n, each cut by ``split``.  The first
+    line with a non-ASCII byte raises ParseError, even after a SympLLTError of
+    ``parse``: then the rest of the lines are read."""
+    with open(path, encoding="ascii", errors="surrogateescape", newline="") as fh:
+        lines = _ascii_lines(line for piece in fh for line in split(piece))
         try:
-            lines = _lines(fh)
-            return _parse_rows(lines, *_parse_header(lines))
-        except UnicodeDecodeError:
-            raise _non_ascii_error(fh.buffer) from None
-        except ParseError as exc:
-            # the decoder checks one block of the file at a time, so a non-ASCII
-            # byte further on may not have been read yet
-            raise _non_ascii_error(fh.buffer, otherwise=exc) from None
+            return parse(lines)
+        except SympLLTError:
+            for _ in lines:
+                pass
+            raise
 
 
-def _lines(fh):
-    # fh opened with newline="": open() ends lines at \r, \n and \r\n, splitlines() at the rest
-    return (line for piece in fh for line in piece.splitlines())
+def _ascii_lines(lines):
+    # a byte the ascii codec cannot decode is the surrogate U+DC00 + byte
+    for k, line in enumerate(lines, start=1):
+        if not line.isascii():
+            byte = next(ord(c) - 0xDC00 for c in line if not c.isascii())
+            raise ParseError(k, f"non-ASCII byte {byte:#04x}")
+        yield line
 
 
 def _parse_header(lines):
@@ -139,23 +150,3 @@ def _bad_token_error(lineno, parts):
             return ParseError(lineno, f"bad float literal {tok!r}")
         if not np.isfinite(val):
             return ParseError(lineno, f"non-finite value {tok!r}")
-
-
-def _non_ascii_error(fh, csv_lines=False, otherwise=None):
-    """ParseError naming the line of the first non-ASCII byte of the binary file ``fh``,
-    read again from its start, lines ending as in ``str.splitlines``, or with ``csv_lines``
-    only at \\r, \\n, \\r\\n as in csv.reader.  If every byte is ASCII, or ``fh`` cannot
-    be read again (a pipe): ``otherwise``, or an error saying the file changed."""
-    split = bytes.splitlines if csv_lines else lambda b: b.decode("ascii").splitlines()
-    line = 1
-    if fh.seekable():
-        fh.seek(0)
-        for piece in fh:  # pieces end at \n, so none splits a \r\n
-            try:
-                piece.decode("ascii")
-            except UnicodeDecodeError as exc:
-                # the bad byte starts or ends a line
-                line += len(split(piece[: exc.start] + b"x")) - 1
-                return ParseError(line, f"non-ASCII byte {piece[exc.start]:#04x}")
-            line += len(split(piece))
-    return otherwise or ParseError(1, "file changed while it was read")

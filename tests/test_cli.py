@@ -436,16 +436,26 @@ def test_dangling_symlink_output(tmp_path, bad, good):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
-def test_diagnose_reads_an_order_400_file_from_a_pipe(tmp_path):
-    # a pipe cannot be read again, so its rows are parsed as they arrive;
-    # the row itself may split over forked children either way
+@pytest.mark.parametrize("edit, code, err", [
+    (lambda lines: lines, 0, b""),
+    (lambda lines: [b"2 2", b"1 0", b"\xc3\xa9 1", b""], 2,
+     b"error: line 3: non-ASCII byte 0xc3\n"),
+    # the byte lies far past the bad literal, so the reader reads on after its error
+    (lambda lines: [lines[0], b"x" + lines[1], *lines[2:299], lines[299] + b" \xc3\xa9",
+                    *lines[300:]], 2, b"error: line 300: non-ASCII byte 0xc3\n"),
+], ids=["order-400", "non-ascii-line-3", "bad-literal-then-non-ascii"])
+def test_diagnose_reads_an_order_400_file_from_a_pipe(tmp_path, edit, code, err):
+    # a pipe cannot be read again, so its lines are checked and parsed as they
+    # arrive; the row itself may split over forked children either way
     path = tmp_path / "a.mat"
     matio.write_matrix(path, random_pdp(200, 1).assemble())
+    path.write_bytes(b"\n".join(edit(path.read_bytes().split(b"\n"))))
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(sympllt.__file__)))
     env = dict(os.environ, PYTHONPATH=package_root, OPENBLAS_NUM_THREADS="1")
     cli = [sys.executable, "-m", "sympllt.cli", "diagnose", "--in"]
     piped = subprocess.run(cli + ["/dev/stdin"], input=path.read_bytes(), capture_output=True,
                            env=env, timeout=120)
     from_file = subprocess.run(cli + [str(path)], capture_output=True, env=env, timeout=120)
-    assert piped.returncode == from_file.returncode == 0, piped.stderr
-    assert piped.stdout == from_file.stdout and b"file(0)" in piped.stdout
+    assert piped.returncode == from_file.returncode == code, piped.stderr
+    assert piped.stdout == from_file.stdout and piped.stderr == from_file.stderr == err
+    assert (b"file(0)" in piped.stdout) == (code == 0)

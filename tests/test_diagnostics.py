@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -346,8 +347,15 @@ def _csv_with_record(tmp_path, record):
      "line 3: n field '+2' is not written as '2'"),
     (lambda good: good.replace("identity,0.0,", "identity,NaN,", 1),
      "line 3: param field 'NaN' is not written as 'nan'"),
+    # records csv.reader itself rejects: on every Python version, and before 3.11
+    (lambda good: good.replace("identity,", "identity" + "x" * 131072 + ",", 1),
+     "line 3: field larger than field limit (131072)"),
+    (lambda good: good.replace("identity,0.0,", "identity,\x000.0,", 1),
+     "line 3: line contains NUL" if sys.version_info < (3, 11)
+     else "line 3: could not convert string to float: '\\x000.0'"),
 ], ids=["extra-field", "short-record", "blank-line", "non-integer-n", "non-numeric-param",
-        "digit-separator", "padded-n", "signed-n", "capitalised-nan"])
+        "digit-separator", "padded-n", "signed-n", "capitalised-nan", "field-over-limit",
+        "nul-byte"])
 def test_read_csv_rejects_a_malformed_record_naming_its_line(tmp_path, record, message):
     path = _csv_with_record(tmp_path, record)
     with pytest.raises(UsageError) as err:
@@ -355,12 +363,18 @@ def test_read_csv_rejects_a_malformed_record_naming_its_line(tmp_path, record, m
     assert str(err.value).startswith(message)
 
 
-def test_read_csv_reports_a_non_ascii_byte_naming_its_line(tmp_path):
+@pytest.mark.parametrize("header, latin", [(True, 3), (False, 3), (False, 200)],
+                         ids=["line-3", "bad-header-line-3", "bad-header-past-8kb"])
+def test_read_csv_reports_a_non_ascii_byte_naming_its_line(tmp_path, header, latin):
+    # a non-ASCII byte anywhere is the error, after a wrong header too, also
+    # where it lies beyond the first 8 KB that a text decoder reads ahead
     path = _csv_with_record(tmp_path, lambda good: good)
-    lines = path.read_bytes().splitlines()
-    lines[2] = lines[2].replace(b"identity", b"identit\xe9")  # a Latin-1 e-acute
+    head, good = path.read_bytes().splitlines()[:2]
+    lines = [head if header else head.replace(b"family", b"kind")] + [good] * (latin - 1)
+    lines[-1] = good.replace(b"identity", b"identit\xe9")  # a Latin-1 e-acute
     path.write_bytes(b"\n".join(lines) + b"\n")
-    with pytest.raises(UsageError, match=r"^line 3: non-ASCII byte 0xe9$"):
+    assert (path.stat().st_size > 8192) == (latin > 3)
+    with pytest.raises(UsageError, match=rf"^line {latin}: non-ASCII byte 0xe9$"):
         read_csv(path)
 
 

@@ -134,13 +134,13 @@ def test_non_ascii_byte_names_its_line(tmp_path, content, line):
 
 @pytest.mark.parametrize("content, message", [
     (b"2 2\n1 0\nx 1\n", "line 3: bad float literal 'x'"),
-    # the bad byte lies past the decoder's first block, so the header parses
-    # and the byte is met while the rows are parsed
+    # the bad byte lies past the first 8 KB, so the header parses and the
+    # byte is met while the rows are parsed
     (b"2 2\n1" + b" " * 9000 + b" 0\n\xc3\xa9 1\n", "line 3: non-ASCII byte 0xc3"),
 ], ids=["bad-float", "non-ascii"])
 def test_a_file_unlinked_during_the_read_raises_its_parse_error(tmp_path, monkeypatch, content,
                                                                  message):
-    # the rescan for a non-ASCII byte reads the file read_matrix holds, not its path
+    # every line is read from the file read_matrix holds, not from its path
     path = tmp_path / "bad.mat"
     path.write_bytes(content)
     real = matio._parse_rows

@@ -52,8 +52,10 @@ COMMANDS = [
                                "non-pd-schur.csv"], ["non-pd-schur.csv"]),
     ("diagnose-crlf", ["diagnose", "--in", "crlf.mat", "--csv", "crlf.csv"], ["crlf.csv"]),
     ("diagnose-mixed-ends", ["diagnose", "--in", "mixed-ends.mat"], []),
+    ("diagnose-bad-then-latin", ["diagnose", "--in", "bad-then-latin.mat"], []),
 ]
 BAD_ROW = 300  # the data row of bad-row.mat whose first value is not a float literal
+LATIN_ROW = 390  # the data row of bad-then-latin.mat that holds a non-ASCII byte
 
 
 def write_bad_row_copy():
@@ -91,9 +93,21 @@ def write_mixed_ends_copy():
     Path("mixed-ends.mat").write_bytes(text.encode("ascii"))
 
 
+def write_bad_then_latin_copy():
+    """bad-then-latin.mat: random-200.mat with data row BAD_ROW corrupted as in
+    bad-row.mat and a non-ASCII byte appended to data row LATIN_ROW, which
+    read_matrix reaches only by reading on after the bad literal: the byte is
+    the error reported."""
+    lines = Path("random-200.mat").read_bytes().split(b"\n")
+    lines[BAD_ROW] = b"x" + lines[BAD_ROW]
+    lines[LATIN_ROW] += b" \xc3\xa9"
+    Path("bad-then-latin.mat").write_bytes(b"\n".join(lines))
+
+
 # the input files that a command reads, made from random-200.mat before it runs
 COPIES = {"diagnose-bad-row": write_bad_row_copy, "diagnose-non-pd-schur": write_non_pd_schur_copy,
-          "diagnose-crlf": write_crlf_copy, "diagnose-mixed-ends": write_mixed_ends_copy}
+          "diagnose-crlf": write_crlf_copy, "diagnose-mixed-ends": write_mixed_ends_copy,
+          "diagnose-bad-then-latin": write_bad_then_latin_copy}
 
 
 def run(argv):
