@@ -135,6 +135,8 @@ def diagnose(a, family="custom", param=0.0):
             "n": p.n,
             "norm2_A": p.norm,
         }
+        # asked here, not left to _forked, for memory: in one process a row in
+        # _ROUNDS' job order peaks at 5.88 order-2n matrices, in _STEPS' at 4.76
         split = p.n >= _SPLIT_MIN_N and _fork_cpus() > 1
         rounds = _ROUNDS if split else [[_ALL_STEPS]]
         shares = [share for jobs in rounds
@@ -241,22 +243,22 @@ def _csv_rows(lines):
     try:
         header = next(reader, [])
         if header != CSV_COLUMNS:
-            raise UsageError(f"line 1: unexpected CSV header {header!r}")
+            raise ParseError(1, f"unexpected CSV header {header!r}")
         for record in reader:
             if len(record) != len(CSV_COLUMNS):
-                raise UsageError(f"line {reader.line_num}: expected "
-                                 f"{len(CSV_COLUMNS)} fields, got {len(record)}")
+                raise ParseError(reader.line_num,
+                                 f"expected {len(CSV_COLUMNS)} fields, got {len(record)}")
             try:
                 row = DiagnosticsRow(*(f.type(v) for f, v in zip(_FIELDS, record)))
             except ValueError as exc:
-                raise UsageError(f"line {reader.line_num}: {exc}") from None
+                raise ParseError(reader.line_num, str(exc)) from None
             for name, got, want in zip(CSV_COLUMNS, record, _record(row)):
                 if got != want:
-                    raise UsageError(f"line {reader.line_num}: {name} field "
-                                     f"{got!r} is not written as {want!r}")
+                    raise ParseError(reader.line_num,
+                                     f"{name} field {got!r} is not written as {want!r}")
             rows.append(row)
     except csv.Error as exc:  # a field over csv.field_size_limit(); a NUL before Python 3.11
-        raise UsageError(f"line {reader.line_num}: {exc}") from None
+        raise ParseError(reader.line_num, str(exc)) from None
     return rows
 
 

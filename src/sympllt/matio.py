@@ -12,8 +12,8 @@ from contextlib import suppress
 
 import numpy as np
 
-from .dense import as_matrix
-from .errors import DimensionError, InvalidEntryError, ParseError, SympLLTError
+from .dense import _require_finite, as_matrix
+from .errors import DimensionError, ParseError, SympLLTError
 
 # lines per np.loadtxt call: 50 parsed slower, 200 raised the peak memory
 _BLOCK = 100
@@ -27,8 +27,7 @@ def write_matrix(path, a):
     a = as_matrix(a)
     if a.size == 0:
         raise DimensionError(f"write_matrix: a matrix of shape {a.shape} has no entries")
-    if not np.isfinite(a).all():
-        raise InvalidEntryError("write_matrix: NaN or infinite entry")
+    _require_finite(a, "write_matrix")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{a.shape[0]} {a.shape[1]}\n")
         for row in a:
@@ -130,23 +129,20 @@ def _parse_block(lines, first, want, rows, cols):
         parts = line.split()
         if len(parts) != cols:
             raise ParseError(lineno, f"expected {cols} values, got {len(parts)}")
-        if error := _bad_token_error(lineno, parts):
-            raise error
-        out.append(np.array(parts, dtype=np.float64))  # float()'s bits
+        out.append([_token(lineno, tok) for tok in parts])
     if len(block) < want:
         raise ParseError(first + len(block), f"expected {rows} data rows, file ended early")
     return np.array(out)
 
 
-def _bad_token_error(lineno, parts):
-    """ParseError naming the first token of a row that is not a finite float,
-    or None if every token is one."""
-    for tok in parts:
-        try:
-            if "_" in tok:
-                raise ValueError
-            val = float(tok)
-        except ValueError:
-            return ParseError(lineno, f"bad float literal {tok!r}")
-        if not np.isfinite(val):
-            return ParseError(lineno, f"non-finite value {tok!r}")
+def _token(lineno, tok):
+    # float(tok), or the ParseError of line lineno for a token that is no finite float
+    try:
+        if "_" in tok:
+            raise ValueError
+        val = float(tok)
+    except ValueError:
+        raise ParseError(lineno, f"bad float literal {tok!r}") from None
+    if not np.isfinite(val):
+        raise ParseError(lineno, f"non-finite value {tok!r}")
+    return val

@@ -16,15 +16,13 @@ from .symplectic import BlockPartition, _structure_inverse
 _MASK = (1 << 64) - 1
 _TWO53 = 2.0 ** -53
 _GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
 
 
 def _mix(z):
-    """The SplitMix64 finaliser over a uint64 array (products wrap mod 2^64)."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64's finaliser of a Python int, or of each word of a uint64 array."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
 
 
 class SplitMix64:
@@ -37,10 +35,7 @@ class SplitMix64:
 
     def next_u64(self):
         self.state = (self.state + _GOLDEN) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        return z ^ (z >> 31)
+        return _mix(self.state)
 
     def uniform(self):
         """Uniform double in [0, 1) with 53 random bits."""

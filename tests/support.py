@@ -88,8 +88,8 @@ def rebind(monkeypatch, original, replacement, needed=()):
 
 
 def set_cpus(monkeypatch, count):
-    """Make the affinity mask read ``count`` CPUs; one CPU keeps a sweep's rows,
-    a diagnose row and a matrix file's parse in this process, as ``taskset -c 0`` does."""
+    """Make the affinity mask read ``count`` CPUs; one CPU keeps a sweep's rows
+    and a diagnose row in this process, as ``taskset -c 0`` does."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 

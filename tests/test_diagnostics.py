@@ -454,6 +454,41 @@ def test_a_scoped_run_repeats_the_full_runs_results(full_suite, scope):
     assert result_bits(run_checks(scope=scope).results) == expected
 
 
+# Each bound's worst margin lhs / (rhs (1 + slack) + floor) over the full suite,
+# as measured when this table was written, the same with BLAS pinned to one
+# thread or not.  The paper calls its bounds reasonably sharp: a bound written
+# looser, such as coupling-norm's rhs doubled or w2-backward's 4 written as 40,
+# drops its margin below 0.6 of this value and fails here, while every verdict
+# still holds.
+WORST_MARGINS = {
+    "w1-error-bound": 0.999999000,                 # minij
+    "condition-factor-squared": 0.999998990,       # pascal/2
+    "condition-from-structure-loss": 0.999998990,  # pascal/2
+    "condition-of-enforced-product": 0.999998990,  # pascal/2
+    "coupling-norm": 0.999998990,                  # hyperbolic-inverse/7
+    "leading-inverse-perturbation": 0.999916440,   # pascal/2
+    "omega-factor-ordering": 0.999555087,          # diagt/1e6
+    "schur-perturbation": 0.641424633,             # hyperbolic-inverse/3
+    "factor-inverse-consistency": 0.281960489,     # hyperbolic-inverse/6
+    "cholesky-perturbation": 0.281722776,          # pascal/2
+    "l2-form-perturbation": 0.262711219,           # pascal/2
+    "reverse-cholesky-perturbation": 0.181807240,  # pascal/2
+    "omega-factor-amplification": 0.054417175,     # minij
+    "w2-backward": 0.035269959,                    # hyperbolic/7
+}
+
+
+def test_each_bound_keeps_its_worst_margin(full_suite):
+    worst = {}
+    for r in full_suite.results:
+        if r.verdict != checks.SKIPPED:
+            margin = r.lhs / (r.rhs * (1.0 + r.slack) + r.floor)
+            worst[r.bound_id] = max(worst.get(r.bound_id, 0.0), margin)
+    assert worst.keys() == WORST_MARGINS.keys()
+    for bound_id, margin in worst.items():
+        assert 0.6 * WORST_MARGINS[bound_id] <= margin <= 1.0, (bound_id, margin)
+
+
 def test_a_scoped_run_builds_only_its_own_fixtures(monkeypatch):
     made = []
 

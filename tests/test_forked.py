@@ -136,7 +136,7 @@ def test_the_jobs_of_a_child_that_cannot_start_run_here(monkeypatch, name, k, st
         [i % k == 0 or i % k > started for i in range(7)]
 
 
-def test_rows_and_a_parse_come_out_bitwise_when_no_child_starts(monkeypatch, tmp_path, capsys):
+def test_a_split_row_and_a_sweep_come_out_bitwise_when_no_child_starts(monkeypatch, tmp_path, capsys):
     path = tmp_path / "a.mat"
     write_matrix(path, random_pdp(200, 1).assemble())  # order 400: the row splits
     diagnose = ["diagnose", "--in", str(path)]

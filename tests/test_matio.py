@@ -168,16 +168,20 @@ def test_blank_data_rows_raise_without_a_warning(tmp_path, blank):
     assert str(err.value) == f"line {blank + 1}: expected 2 values, got 0" and caught == []
 
 
-@pytest.mark.parametrize("a, error", [
-    (np.array([[1.0, np.nan], [0.0, 1.0]]), InvalidEntryError),
-    (np.array([[np.inf]]), InvalidEntryError),
-    (np.array([[1.0, -np.inf, 0.0]]), InvalidEntryError),
-    (np.zeros((0, 3)), DimensionError),
-    (np.zeros((3, 0)), DimensionError),
+NON_FINITE = "write_matrix: input contains NaN or infinite entries"  # every kernel's text
+
+
+@pytest.mark.parametrize("a, error, message", [
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), InvalidEntryError, NON_FINITE),
+    (np.array([[np.inf]]), InvalidEntryError, NON_FINITE),
+    (np.array([[1.0, -np.inf, 0.0]]), InvalidEntryError, NON_FINITE),
+    (np.zeros((0, 3)), DimensionError, "write_matrix: a matrix of shape (0, 3) has no entries"),
+    (np.zeros((3, 0)), DimensionError, "write_matrix: a matrix of shape (3, 0) has no entries"),
 ], ids=["nan", "inf", "minus-inf", "no-rows", "no-columns"])
-def test_write_refuses_what_read_rejects(tmp_path, a, error):
+def test_write_refuses_what_read_rejects(tmp_path, a, error, message):
     # read_matrix would reject this file, so none is made
     path = tmp_path / "bad.mat"
-    with pytest.raises(error):
+    with pytest.raises(error) as info:
         write_matrix(path, a)
+    assert str(info.value) == message
     assert not path.exists()

@@ -229,6 +229,17 @@ def test_splitmix64_stream_is_stable():
     ]
 
 
+def test_mix_of_a_uint64_array_is_mix_of_each_word():
+    # one finaliser serves next_u64's Python ints and normals' uint64 arrays: the
+    # array must wrap as the masked ints do, whatever numpy's promotion rules
+    words = [0, 1, 2 ** 63, 2 ** 64 - 1, *(1 << s for s in (27, 30, 31)),
+             *((k * testmat._GOLDEN) & testmat._MASK for k in range(1, 9))]
+    got = testmat._mix(np.array(words, dtype=np.uint64))
+    assert got.dtype == np.uint64
+    assert got.tolist() == [testmat._mix(w) for w in words]
+    assert all(type(testmat._mix(w)) is int for w in words)
+
+
 def test_uniform_in_unit_interval():
     rng = SplitMix64(7)
     vals = [rng.uniform() for _ in range(1000)]
