@@ -188,7 +188,7 @@ def check_condition_bounds(p):
     results.append(BoundCheckResult.compare(
         "condition-factor-squared", lhs, rhs, SLACK, rhs * noise))
 
-    lhs = spectral_norm(p.coupling) ** 2
+    lhs = p.norm_coupling ** 2
     rhs = p.norm_inv_a11 * spectral_norm(p.a22)
     results.append(BoundCheckResult.compare(
         "coupling-norm", lhs, rhs, SLACK, rhs * (1e-8 + 10.0 * n * EPS * p.kappa_a11)))
@@ -262,12 +262,12 @@ def _factor_perturbation(p, e, norm_e, pe, kind):
         before, after = factor(p), factor(pe)
     except FactorError as exc:
         return BoundCheckResult.skip(bound_id, f"not positive definite: {exc}")
-    delta = after - before
-    norm_l = spectral_norm(before)
-    lhs = frobenius_norm(delta) / norm_l
-    kappa_a = p.kappa
-    rhs = (kappa_a / (1.0 - damp)) * frobenius_norm(e) / p.norm / math.sqrt(2.0)
-    floor = 100.0 * p.n * EPS * kappa_a * frobenius_norm(before) / norm_l
+    if kind not in p.factor_norms:
+        p.factor_norms[kind] = spectral_norm(before), frobenius_norm(before)
+    norm_l, frob_l = p.factor_norms[kind]
+    lhs = frobenius_norm(after - before) / norm_l
+    rhs = (p.kappa / (1.0 - damp)) * frobenius_norm(e) / p.norm / math.sqrt(2.0)
+    floor = 100.0 * p.n * EPS * p.kappa * frob_l / norm_l
     return BoundCheckResult.compare(bound_id, lhs, rhs, SLACK, floor)
 
 
@@ -304,7 +304,7 @@ def _schur_perturbation(p, e, norm_e, pe):
     ne11, ne12, ne22 = spectral_norm(e11), spectral_norm(e12), spectral_norm(e22)
 
     norm_inv = p.norm_inv_a11
-    norm_w = spectral_norm(p.coupling)
+    norm_w = p.norm_coupling
 
     q = norm_inv * ne11  # contraction factor of the Neumann series
     if q > 0.5:
@@ -322,7 +322,7 @@ def _schur_perturbation(p, e, norm_e, pe):
 
     lhs = spectral_norm(pe.schur - p.schur)
     rhs = ne22 + norm_w ** 2 * ne11 + 2.0 * norm_w * ne12
-    norm_a12 = spectral_norm(p.a12)
+    norm_a12 = p.norm_a12
     delta_inv = norm_inv * q / (1.0 - q)
     tail_schur = (norm_a12 ** 2 * norm_inv * q * q / (1.0 - q)
                   + norm_inv * ne12 ** 2

@@ -27,7 +27,7 @@ def _is_int(value):
 
 
 def _require_finite(a, op):
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidEntryError(f"{op}: input contains NaN or infinite entries")
 
 
@@ -110,12 +110,16 @@ def frobenius_norm(a):
 
 
 def is_bitwise_symmetric(a):
-    """Whether a is square and equals a^T under ``==`` (+0.0 == -0.0, NaN != NaN).
+    """Whether a is square and ``(a == a.T).all()`` (+0.0 == -0.0, NaN != NaN).
 
-    Equal entries are the same real number, which is all ``eigvalsh`` needs;
-    ``symplectic.omega`` compares uint64 bits, as it multiplies by a for a^T."""
-    a = as_matrix(a)
-    return a.shape[0] == a.shape[1] and bool(np.array_equal(a, a.T))
+    Equal entries are the same real number, which is all ``eigvalsh`` and
+    ``require_symmetric`` need; they test a matrix they hold with this rule,
+    ``_equals_transpose``.  ``symplectic.omega`` compares uint64 bits."""
+    return _equals_transpose(as_matrix(a))
+
+
+def _equals_transpose(a):
+    return a.shape[0] == a.shape[1] and bool((a == a.T).all())
 
 
 def spectral_norm(a):
@@ -169,7 +173,7 @@ def norm_and_condition(a):
 
 def _symmetric_eigenvalues(a):
     # ascending eigenvalues of a bitwise-symmetric matrix, else None
-    return np.linalg.eigvalsh(a) if is_bitwise_symmetric(a) else None
+    return np.linalg.eigvalsh(a) if _equals_transpose(a) else None
 
 
 def _norm(a, ev):

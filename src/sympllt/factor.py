@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .dense import as_matrix, frobenius_norm, matmul, reverse_permute
+from .dense import _equals_transpose, as_matrix, frobenius_norm, matmul, reverse_permute
 from .errors import DimensionError, PivotNotPositiveError, SingularError
 
 # asymmetry beyond this multiple of ||a||_F is treated as a caller bug,
@@ -18,9 +18,13 @@ SYMMETRY_RTOL = 1e-12
 
 
 def require_symmetric(a, op):
+    """``a`` as a square matrix: at once if a == a^T (``is_bitwise_symmetric``'s rule), else
+    if its skew is within SYMMETRY_RTOL or, non-finite, NaN matches NaN; else DimensionError."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"{op}: matrix must be square, got {a.shape}")
+    if _equals_transpose(a):
+        return a
     if not np.isfinite(a).all():
         # a NaN fails every comparison with the tolerance: demand bitwise symmetry
         if not np.array_equal(a, a.T, equal_nan=True):

@@ -52,10 +52,10 @@ class BlockPartition:
 
     Factor blocks, intermediates and the per-matrix scalars are computed on first
     use and cached, arrays as read-only; a block must not change once a
-    cached value that reads it has been read.  ``l11``, ``l11_inv_t`` and
-    ``inv_a11`` read only a11, which lets pdp_assemble fill a22 after
-    reading ``inv_a11``.  ``kappa`` and ``kappa_a11`` raise SingularError, and the
-    factors FactorError, on every read: a raised exception is not cached.
+    cached value that reads it has been read.  Until ``cholesky`` is read, ``l11``,
+    ``l11_inv_t`` and ``inv_a11`` read only a11: pdp_assemble fills a22 after
+    ``inv_a11``.  ``kappa`` and ``kappa_a11`` raise SingularError, and the factors
+    FactorError, on every read: a raised exception is not cached.
     """
 
     n: int
@@ -83,7 +83,10 @@ class BlockPartition:
 
     @cached_property
     def l11(self):
-        """chol(a11), the (1,1) block of both factors."""
+        """chol(a11), the (1,1) block of both factors: once ``cholesky`` is cached, its
+        (1,1) block, bitwise the same (the same products, subtracted in the same order)."""
+        if "cholesky" in vars(self):
+            return _read_only(self.cholesky[:self.n, :self.n].copy())
         return _read_only(cholesky_lower(self.a11, stage="leading-block cholesky"))
 
     @cached_property
@@ -103,7 +106,9 @@ class BlockPartition:
 
     @cached_property
     def l21(self):
-        """l21 with l11 l21^T = a12, the (2,1) block of both factors."""
+        """l21 with l11 l21^T = a12, the (2,1) block of both factors and of ``cholesky``."""
+        if "cholesky" in vars(self):
+            return _read_only(self.cholesky[self.n:, :self.n].copy())
         return _read_only(np.ascontiguousarray(forward_substitute(self.l11, self.a12).T))
 
     @cached_property
@@ -189,9 +194,11 @@ class BlockPartition:
         """||omega(a)||, the loss of structure of the matrix itself."""
         return loss_of_symplecticity(self.assemble())
 
-    @cached_property
-    def norm_inv_a11(self):
-        return spectral_norm(self.inv_a11)
+    norm_inv_a11 = cached_property(lambda self: spectral_norm(self.inv_a11))
+    norm_a12 = cached_property(lambda self: spectral_norm(self.a12))
+    norm_coupling = cached_property(lambda self: spectral_norm(self.coupling))
+    # perturbation kind -> (||L||, ||L||_F) of its factor L of a, filled by checks
+    factor_norms = cached_property(lambda self: {})
 
     @cached_property
     def dist(self):

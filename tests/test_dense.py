@@ -183,3 +183,22 @@ def test_spectral_norm_empty_rejected():
 def test_condition_number_empty_rejected():
     with pytest.raises(DimensionError):
         condition_number(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("a", [
+    np.array([[1.0, math.nan], [math.nan, 1.0]]),
+    np.array([[math.nan]]),
+    np.array([[1.0, -0.0], [0.0, 1.0]]),
+    np.array([[-0.0, 2.0], [2.0, 0.0]]),
+    np.array([[1.0, math.inf], [math.inf, -math.inf]]),
+    np.array([[1.0, 2.0], [3.0, 1.0]]),
+    np.ones((2, 3)),
+    np.ones((3, 1)),
+    np.zeros((0, 2)),
+    np.zeros((0, 0)),
+], ids=["nan", "nan-1x1", "signed-zero", "signed-zero-diagonal", "inf", "asymmetric",
+        "2x3", "3x1", "0x2", "0x0"])
+def test_is_bitwise_symmetric_is_array_equal_to_the_transpose(a):
+    from sympllt.dense import is_bitwise_symmetric
+
+    assert is_bitwise_symmetric(a) is bool(np.array_equal(a, a.T))

@@ -142,6 +142,40 @@ def test_non_finite_entries_do_not_hide_asymmetry():
         cholesky_lower(a)
 
 
+def test_a_matrix_equal_to_its_transpose_is_returned_unmeasured(monkeypatch):
+    from sympllt import factor
+    from sympllt.factor import require_symmetric
+
+    inf = math.inf
+    # ||a||_F is never taken: a matrix equal to a^T under == has no skew
+    monkeypatch.setattr(factor, "frobenius_norm", lambda a: pytest.fail("skew measured"))
+    for a in (np.array([[inf, -inf], [-inf, 1.0]]), np.array([[1.0, -0.0], [0.0, -inf]]),
+              np.array([[2.0, 0.0, -0.0], [-0.0, 1.0, 3.0], [0.0, 3.0, 1.0]])):
+        assert require_symmetric(a, "x") is a
+    # a NaN fails ==, so its matrix keeps the non-finite path: returned if its
+    # NaNs mirror each other, refused if not
+    a = np.array([[1.0, math.nan], [math.nan, math.nan]])
+    assert require_symmetric(a, "x") is a
+    monkeypatch.undo()
+    with pytest.raises(DimensionError, match="not symmetric"):
+        require_symmetric(np.array([[math.nan, 1.0], [1.0 + EPS * 2, math.nan]]), "x")
+
+
+def test_symmetry_error_texts_are_unchanged():
+    from sympllt.factor import require_symmetric
+
+    cases = [
+        (np.ones((2, 3)), "x: matrix must be square, got (2, 3)"),
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), "x: asymmetry 5.000e-01 exceeds 1e-12 * ||a||_F"),
+        (np.array([[1.0, math.nan], [0.0, 1.0]]),
+         "x: matrix with NaN or infinite entries is not symmetric"),
+    ]
+    for a, text in cases:
+        with pytest.raises(DimensionError) as err:
+            require_symmetric(a, "x")
+        assert str(err.value) == text
+
+
 def test_overflowing_norm_warns_nothing():
     from sympllt.diagnostics import generate_family
     from sympllt.factor import require_symmetric

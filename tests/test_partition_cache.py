@@ -14,8 +14,9 @@ import weakref
 import numpy as np
 import pytest
 
-from sympllt import UsageError, symplectic
+from sympllt import FactorError, UsageError, factor, symplectic
 from sympllt.checks import (
+    PERTURBATION_SCALES,
     check_condition_bounds,
     check_omega_factor_bounds,
     check_schur_perturbation,
@@ -30,7 +31,7 @@ from sympllt.symplectic import (BlockPartition, algorithm_w1, algorithm_w2,
 from sympllt.testmat import random_pdp, symmetric_perturbation
 
 from frozen import frozen_scalars
-from support import float_bits, result_bits
+from support import float_bits, rebind, result_bits
 
 
 def partition_checks(p):
@@ -159,6 +160,67 @@ def test_cached_arrays_are_read_only():
     f2 = algorithm_w2(p)
     assert f2.p is f1.p
     assert float_bits(f2.assemble()) == float_bits(expected.assemble())
+
+
+# --- l11 and l21 read off the whole-matrix Cholesky --------------------------------
+
+def leading_blocks(p):
+    """The bits of p.l11 and p.l21, or the stage of the FactorError that l11 raises."""
+    try:
+        return float_bits(p.l11), float_bits(p.l21)
+    except FactorError as exc:
+        return exc.stage
+
+
+def cholesky_read_first(a):
+    """A partition of a whose whole-matrix ``cholesky`` was read before anything else."""
+    q = BlockPartition.from_matrix(a)
+    try:
+        q.cholesky
+    except FactorError:
+        pass
+    return q
+
+
+# each fixture, its a + e at the suite's scales and seeds, and random_pdp
+LEADING = [(name, p.assemble()) for _, name, p in standard_fixtures()]
+LEADING += [(f"{name}+e{k}", p.assemble()
+             + symmetric_perturbation(2 * p.n, scale * p.norm, 7700 + 13 * i + k))
+            for i, name, p in standard_fixtures() for k, scale in enumerate(PERTURBATION_SCALES)]
+LEADING += [(f"random_pdp({n}, 1)", random_pdp(n, 1).assemble()) for n in (1, 7, 33, 96)]
+
+
+@pytest.mark.parametrize("name,a", LEADING, ids=[name for name, _ in LEADING])
+def test_leading_blocks_read_off_cholesky_are_bitwise_their_own(name, a):
+    expected = leading_blocks(BlockPartition.from_matrix(a))
+    assert leading_blocks(cholesky_read_first(a)) == expected
+
+
+def test_cholesky_cached_leaves_the_leading_blocks_no_kernel_to_run(monkeypatch):
+    q = cholesky_read_first(random_pdp(7, 1).assemble())
+    for kernel in (factor.cholesky_lower, factor.forward_substitute):
+        rebind(monkeypatch, kernel, lambda *args, **kwargs: pytest.fail("kernel ran"))
+    assert q.l11.base is None and q.l21.flags.c_contiguous
+    assert not q.l11.flags.writeable and not q.l21.flags.writeable
+
+
+def test_a_failed_cholesky_leaves_the_leading_blocks_their_own_path():
+    # a positive definite a11 inside an a that is not: the whole-matrix factor
+    # raises, and l11 and l21 are still factored from a11 and a12
+    a = random_pdp(5, 2).assemble()
+    a[5:, 5:] *= -1.0
+    q = BlockPartition.from_matrix(a)
+    with pytest.raises(FactorError, match="during cholesky"):
+        q.cholesky
+    assert leading_blocks(q) == leading_blocks(BlockPartition.from_matrix(a))
+    assert isinstance(leading_blocks(q), tuple)
+    # a11 not positive definite: l11 raises at its own stage, cholesky read or not
+    a = np.diag([1.0, -1.0, 1.0, 1.0])
+    for q in (BlockPartition.from_matrix(a), cholesky_read_first(a)):
+        with pytest.raises(FactorError, match="pivot 2 .* during leading-block cholesky"):
+            q.l11
+        with pytest.raises(FactorError, match="during leading-block cholesky"):
+            q.l21
 
 
 FACTOR_FIELDS = ["norm2_invA11", "dist_sympl", "dist_sympl_rel", "relerr_w1",

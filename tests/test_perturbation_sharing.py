@@ -23,7 +23,7 @@ from sympllt.checks import (
     check_schur_perturbation,
     perturbation_experiment,
 )
-from sympllt.dense import spectral_norm
+from sympllt.dense import frobenius_norm, spectral_norm
 from sympllt.diagnostics import run_checks, standard_fixtures
 from sympllt.errors import DimensionError, FactorError
 from sympllt.factor import cholesky_lower, reverse_cholesky_upper, spd_inverse
@@ -193,6 +193,22 @@ def test_fixtures_from_the_registry_keep_names_order_and_bytes():
     assert all(isinstance(p, BlockPartition) for _, _, p in standard_fixtures())
 
 
+def test_factor_norms_come_from_the_factor_once_and_not_from_a_skip():
+    p = BlockPartition.from_matrix(hyperbolic_spd(3.0))
+    for seed in (9, 10):
+        check_perturbation_bounds(p, symmetric_perturbation(4, 1e-10 * p.norm, seed))
+    factors = {"cholesky": p.cholesky, "reverse-cholesky": p.reverse_cholesky,
+               "l2-form": p.w2.assemble()}
+    assert {kind: float_bits(norms) for kind, norms in p.factor_norms.items()} == {
+        kind: float_bits([spectral_norm(f), frobenius_norm(f)]) for kind, f in factors.items()}
+    # a factor that raises, and the skip before any factor, cache nothing
+    for a, e in ((np.diag([1.0, 1.0, -1.0, 1.0]), 1e-8 * np.eye(4)),
+                 (hyperbolic_spd(7.0), 1e-4 * np.eye(4))):
+        q = BlockPartition.from_matrix(a)
+        assert {r.verdict for r in check_perturbation_bounds(q, e)[:3]} == {"skipped"}
+        assert q.factor_norms == {}
+
+
 # --- work per check suite -------------------------------------------------------
 
 def count_everywhere(monkeypatch, original, tally):
@@ -203,11 +219,25 @@ def count_everywhere(monkeypatch, original, tally):
     rebind(monkeypatch, original, counted)
 
 
+def count_linalg(monkeypatch, name, tally):
+    """Count the calls of ``np.linalg.<name>``, which sympllt reads off np.linalg."""
+    original = getattr(np.linalg, name)
+
+    def counted(*args, **kwargs):
+        tally.append(name)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, name, counted)
+
+
 def test_run_checks_factors_each_matrix_once(monkeypatch):
     choleskys, inverses, w2s, partitions = [], [], [], []
+    substitutions, svds, eigensolves = [], [], []
     count_everywhere(monkeypatch, factor.cholesky_lower, choleskys)
     count_everywhere(monkeypatch, factor.spd_inverse, inverses)
     count_everywhere(monkeypatch, symplectic.algorithm_w2, w2s)
+    count_everywhere(monkeypatch, factor.forward_substitute, substitutions)
+    count_linalg(monkeypatch, "svd", svds)
+    count_linalg(monkeypatch, "eigvalsh", eigensolves)
     from_matrix = BlockPartition.from_matrix.__func__
 
     def recorded(cls, a):
@@ -219,8 +249,14 @@ def test_run_checks_factors_each_matrix_once(monkeypatch):
     assert (report.holds, report.violated, report.skipped) == (375, 0, 81)
     # per suite before the sharing: 538 Cholesky, 153 spd_inverse, 88 w2; the
     # random fixtures' inv(g) then came from 9 more Cholesky and spd_inverse
-    # calls, now read from the partition's own leading-block factor
-    assert len(choleskys) <= 233
+    # calls, now read from the partition's own leading-block factor.  With
+    # l11 and l21 of a factored a + e read off its whole-matrix Cholesky, and
+    # each repeated norm taken once per partition: 233 Cholesky, 210
+    # substitutions, 379 svd and 502 eigvalsh before, 200/177/293/490 now
+    assert len(choleskys) <= 200
+    assert len(substitutions) <= 177
+    assert len(svds) <= 293
+    assert len(eigensolves) <= 490
     assert inverses == []
     assert len(w2s) <= 56
     # one partition of a + e per (fixture, scale), shared by all five bounds
@@ -247,9 +283,10 @@ def test_one_perturbation_factors_a_plus_e_once_per_factor(monkeypatch):
     for module in (checks, dense):
         monkeypatch.setattr(module, "spectral_norm", spectral_norm_counted)
     # p's own factors are cached now: only a + e is factored, each factor once
-    # (whole matrix, its reversal, the leading block and the Schur complement),
-    # and ||e|| is taken once for all five bounds
+    # (whole matrix, its reversal and the Schur complement; the leading block
+    # is read off the whole-matrix factor), and ||e|| is taken once for all
+    # five bounds
     assert result_bits(check_perturbation_bounds(p, e)) == before
-    assert len(choleskys) == 4
+    assert len(choleskys) == 3
     assert len(w2s) == 1
     assert len(norms_of_e) == 1
